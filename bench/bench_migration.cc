@@ -64,7 +64,6 @@ struct Cluster {
     std::string text = "topology = wordcount\nparam senders = 2\n";
     for (const char* n : {"left", "mid", "right"}) {
       text += std::string("partition ") + n + " = " + free_addr() + "\n";
-      text += std::string("control ") + n + " = " + free_addr() + "\n";
     }
     text +=
         "place sender1 = left\n"

@@ -8,7 +8,7 @@
 # two-node deployment and
 # scrapes /metrics + /status from both gateways mid-run with
 # `tart-obs --scrape` (lint-clean exposition, stall-attribution series
-# present, parsable wavefront JSON), aggregates both control ports
+# present, parsable wavefront JSON), aggregates both nodes' GET /obs
 # once with `tart-obs --once`, renders the live profiler view with
 # `tart-obs top --once`, and gates `GET /profile` on both nodes (span
 # profiler snapshot present and self-consistent — loop span time <=
@@ -47,15 +47,12 @@ scrape_phase() {
   local ports=()
   local i
   for i in 1 2 3 4 5 6; do ports+=("$((20000 + RANDOM % 30000))"); done
-  local left_ctl="127.0.0.1:${ports[1]}" right_ctl="127.0.0.1:${ports[3]}"
   local left_http="127.0.0.1:${ports[4]}" right_http="127.0.0.1:${ports[5]}"
   cat > "$dir/deploy.conf" <<EOF
 topology = wordcount
 param senders = 2
 partition left = 127.0.0.1:${ports[0]}
-control left = $left_ctl
 partition right = 127.0.0.1:${ports[2]}
-control right = $right_ctl
 place sender1 = left
 place sender2 = left
 place merger = right
@@ -89,15 +86,15 @@ EOF
   # Mid-run: both gateways must serve a lint-clean Prometheus page with
   # the per-wire stall-attribution family, and a parsable /status page.
   ./build/src/tools/tart-obs --scrape "$left_http" "$right_http"
-  # Both control ports aggregated into one cluster table.
-  ./build/src/tools/tart-obs --once "$left_ctl" "$right_ctl"
+  # Both nodes' GET /obs reports aggregated into one cluster table.
+  ./build/src/tools/tart-obs --once "$left_http" "$right_http"
 
   wait "$feeder_pid" || true
 
-  # Live per-node profiler view over the same control ports. This runs
+  # Live per-node profiler view over the same HTTP addresses. This runs
   # after the feeder so both nodes are past their first gauge sweep (the
-  # sweep is what harvests the profiler into the kGetObs registry).
-  ./build/src/tools/tart-obs top --once "$left_ctl" "$right_ctl"
+  # sweep is what harvests the profiler into the registry GET /obs ships).
+  ./build/src/tools/tart-obs top --once "$left_http" "$right_http"
 
   # Profile gate (docs/OBSERVABILITY.md "Hot-path profiling"): both live
   # nodes must serve the span-profiler snapshot on GET /profile, with the
@@ -220,9 +217,7 @@ checkpoint_phase() {
 topology = wordcount
 param senders = 2
 partition left = 127.0.0.1:${ports[0]}
-control left = 127.0.0.1:${ports[1]}
 partition right = 127.0.0.1:${ports[2]}
-control right = 127.0.0.1:${ports[3]}
 place sender1 = left
 place sender2 = left
 place merger = right
@@ -348,11 +343,8 @@ migration_phase() {
 topology = wordcount
 param senders = 2
 partition left = 127.0.0.1:${ports[0]}
-control left = 127.0.0.1:${ports[1]}
 partition mid = 127.0.0.1:${ports[2]}
-control mid = 127.0.0.1:${ports[3]}
 partition right = 127.0.0.1:${ports[4]}
-control right = 127.0.0.1:${ports[5]}
 http left = $left_http
 http mid = $mid_http
 http right = $right_http

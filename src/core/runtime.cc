@@ -260,12 +260,13 @@ VirtualTime Runtime::inject(WireId input_wire, Payload payload) {
     m.origin_seq = m.seq;
     m.origin_wall_ns = arrive_ns;
     in.last_vt = m.vt;
+    ++in.in_flight;
     // Logged synchronously *before* delivery: the message must be durable
     // while its effects are not (§II.E).
     message_log_.append(m);
   }
   record_ingest(m, arrive_ns, wall_now_ns());
-  to_receiver(input_wire, transport::DataFrame{m});
+  deliver_input(in, m);
   return m.vt;
 }
 
@@ -293,10 +294,11 @@ VirtualTime Runtime::inject_at(WireId input_wire, VirtualTime vt,
     m.origin_seq = m.seq;
     m.origin_wall_ns = arrive_ns;
     in.last_vt = m.vt;
+    ++in.in_flight;
     message_log_.append(m);
   }
   record_ingest(m, arrive_ns, wall_now_ns());
-  to_receiver(input_wire, transport::DataFrame{m});
+  deliver_input(in, m);
   return m.vt;
 }
 
@@ -371,6 +373,7 @@ std::vector<InjectResult> Runtime::try_inject_batch(
     m.origin_wall_ns =
         req.arrival_wall_ns > 0 ? req.arrival_wall_ns : wall_now_ns();
     in.last_vt = m.vt;
+    ++in.in_flight;
     results[i].vt = m.vt;
     results[i].seq = m.seq;
     batch.push_back(std::move(m));
@@ -386,7 +389,7 @@ std::vector<InjectResult> Runtime::try_inject_batch(
   for (std::size_t b = 0; b < batch.size(); ++b) {
     if (!durable) results[batch_to_request[b]].status = InjectStatus::kStoreFailed;
     record_ingest(batch[b], batch[b].origin_wall_ns, durable_ns);
-    to_receiver(batch[b].wire, transport::DataFrame{batch[b]});
+    deliver_input(*adapters.at(batch[b].wire), batch[b]);
   }
   return results;
 }
@@ -395,15 +398,46 @@ void Runtime::close_input(WireId input_wire) {
   const auto pinned = input_adapter(input_wire);
   if (pinned == nullptr) return;  // not locally owned (anymore)
   InputAdapter& in = *pinned;
-  std::uint64_t seq;
+  transport::SilenceFrame answer;
   {
     const std::lock_guard<std::mutex> lk(in.mu);
     if (in.closed) return;
     in.closed = true;
-    seq = in.next_seq;
+    if (in.in_flight > 0) {
+      in.answer_deferred = true;
+      return;
+    }
+    answer = silence_answer_locked(input_wire, in);
   }
-  to_receiver(input_wire, transport::SilenceFrame{
-                              input_wire, VirtualTime::infinity(), seq});
+  to_receiver(input_wire, answer);
+}
+
+void Runtime::deliver_input(InputAdapter& in, const Message& m) {
+  to_receiver(m.wire, transport::DataFrame{m});
+  std::optional<transport::SilenceFrame> answer;
+  {
+    const std::lock_guard<std::mutex> lk(in.mu);
+    if (--in.in_flight == 0 && in.answer_deferred) {
+      in.answer_deferred = false;
+      answer = silence_answer_locked(m.wire, in);
+    }
+  }
+  if (answer) to_receiver(m.wire, *answer);
+}
+
+transport::SilenceFrame Runtime::silence_answer_locked(WireId wire,
+                                                       InputAdapter& in) {
+  // A real-time source IS silent through "now": any future arrival will
+  // be stamped with a later real time. Scripted sources (inject_at) have
+  // no such bound and only promise through their last logged arrival.
+  VirtualTime through = in.last_vt;
+  if (in.closed) {
+    through = VirtualTime::infinity();
+  } else if (in.source == InputAdapter::Source::kRealtime) {
+    through = max(in.last_vt, real_now());
+    in.promised = max(in.promised, through);
+  }
+  return transport::SilenceFrame{wire, through, in.next_seq};
 }
 
 void Runtime::close_all_inputs() {
@@ -485,31 +519,23 @@ void Runtime::handle_external_sender_frame(WireId wire,
   }
   InputAdapter& in = *pinned;
   if (std::holds_alternative<transport::ProbeFrame>(frame)) {
-    // A real-time source IS silent through "now": any future arrival will
-    // be stamped with a later real time. Scripted sources (inject_at) have
-    // no such bound and only promise through their last logged arrival.
-    VirtualTime through;
-    std::uint64_t seq;
+    transport::SilenceFrame answer;
     {
       const std::lock_guard<std::mutex> lk(in.mu);
-      seq = in.next_seq;
-      if (in.closed) {
-        through = VirtualTime::infinity();
-      } else if (in.source == InputAdapter::Source::kRealtime) {
-        through = max(in.last_vt, real_now());
-        in.promised = max(in.promised, through);
-      } else {
-        through = in.last_vt;
+      if (in.in_flight > 0) {
+        // The last in-flight delivery answers (deliver_input).
+        in.answer_deferred = true;
+        return;
       }
+      answer = silence_answer_locked(wire, in);
     }
-    to_receiver(wire, transport::SilenceFrame{wire, through, seq});
+    to_receiver(wire, answer);
   } else if (const auto* replay =
                  std::get_if<transport::ReplayRequestFrame>(&frame)) {
-    // "If the 'sender' is an external component ... the messages are
-    // re-sent from the log" (§II.F.4).
-    for (const Message& m :
-         message_log_.replay_from_seq(wire, replay->from_seq))
-      to_receiver(wire, transport::DataFrame{m});
+    // Snapshot the promise before reading the log: every message it
+    // counts is already logged (stamping appends under the same lock), so
+    // the replay below covers it and the silence cannot claim a tick the
+    // replay did not resend.
     bool closed;
     VirtualTime through;
     std::uint64_t seq;
@@ -519,6 +545,11 @@ void Runtime::handle_external_sender_frame(WireId wire,
       through = in.last_vt;
       seq = in.next_seq;
     }
+    // "If the 'sender' is an external component ... the messages are
+    // re-sent from the log" (§II.F.4).
+    for (const Message& m :
+         message_log_.replay_from_seq(wire, replay->from_seq))
+      to_receiver(wire, transport::DataFrame{m});
     to_receiver(wire,
                 transport::SilenceFrame{
                     wire, closed ? VirtualTime::infinity() : through, seq});

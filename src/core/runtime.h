@@ -376,6 +376,12 @@ class Runtime final : public FrameRouter {
     enum class Source { kUnknown, kRealtime, kScripted };
     Source source = Source::kUnknown;
     bool closed = false;
+    /// Messages stamped (next_seq/last_vt already cover them) whose data
+    /// frame is not yet delivered. A silence answer computed meanwhile
+    /// would claim ticks the receiver has not seen and trip a false gap,
+    /// so it is deferred until the last of them is en route.
+    std::uint64_t in_flight = 0;
+    bool answer_deferred = false;
   };
 
   struct OutputSink {
@@ -396,6 +402,13 @@ class Runtime final : public FrameRouter {
   void dispatch_to_sender_local(WireId wire, const transport::Frame& frame);
   void handle_external_sender_frame(WireId wire,
                                     const transport::Frame& frame);
+  /// Delivers one stamped input message and, once none of the adapter's
+  /// messages is in flight any more, sends any silence answer deferred
+  /// meanwhile.
+  void deliver_input(InputAdapter& in, const Message& m);
+  /// The adapter's current silence promise (caller holds `in.mu`).
+  [[nodiscard]] transport::SilenceFrame silence_answer_locked(
+      WireId wire, InputAdapter& in);
   void deliver_external_output(WireId wire, const transport::Frame& frame);
   [[nodiscard]] LinkBridge* bridge_between(EngineId a, EngineId b);
   /// Routes a frame that must travel from engine `src` toward engine `dst`,

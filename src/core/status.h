@@ -7,8 +7,8 @@
 // horizons are behind it. StatusReport answers exactly that, per
 // component, from a consistent read under the runner lock.
 //
-// Served as the `status` control verb (tart-ctl / tart-obs) and as
-// GET /status JSON on the gateway. Read-only: building a report never
+// Served as GET /status JSON and inside the binary GET /obs report
+// (tart-obs) on the gateway. Read-only: building a report never
 // perturbs scheduling.
 #pragma once
 

@@ -16,7 +16,7 @@
 //      checkpoint's covered offset.
 //
 // Triggers: an interval timer, a log-growth bytes threshold, and on-demand
-// (kCheckpoint control verb / POST /checkpoint / tests).
+// (POST /checkpoint / tests).
 #pragma once
 
 #include <atomic>

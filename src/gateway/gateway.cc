@@ -1,5 +1,6 @@
 #include "gateway/gateway.h"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include "durability/manager.h"
 #include "net/partition_config.h"
 #include "obs/exposition.h"
+#include "obs/node_report.h"
 #include "obs/prof.h"
 
 namespace tart::gateway {
@@ -123,17 +125,12 @@ std::string render_payload(const Payload& payload) {
 
 Gateway::Gateway(core::Runtime* runtime, Options options,
                  std::map<std::string, WireId> inputs,
-                 std::map<std::string, WireId> outputs, MetricsFn metrics_fn,
-                 std::function<void()> on_shutdown, RedirectFn redirect_fn,
-                 MigrateFn migrate_fn)
+                 std::map<std::string, WireId> outputs, Host host)
     : runtime_(runtime),
       options_(std::move(options)),
       inputs_(std::move(inputs)),
       outputs_(std::move(outputs)),
-      metrics_fn_(std::move(metrics_fn)),
-      on_shutdown_(std::move(on_shutdown)),
-      redirect_fn_(std::move(redirect_fn)),
-      migrate_fn_(std::move(migrate_fn)),
+      host_(std::move(host)),
       // Ack latencies: 50us buckets to 250ms, overflow above (fsync-bound
       // tails on loaded disks land in the overflow bucket, still counted).
       ack_latency_(runtime->registry().histogram(
@@ -454,7 +451,7 @@ void Gateway::handle_request(std::uint64_t id, HttpRequest req) {
       return;
     }
     respond(id, 200, {}, "shutting down\n", req.keep_alive);
-    if (on_shutdown_) on_shutdown_();
+    if (host_.shutdown) host_.shutdown();
     return;
   }
   if (path == "/metrics") {
@@ -463,8 +460,14 @@ void Gateway::handle_request(std::uint64_t id, HttpRequest req) {
       respond(id, 405, {{"Allow", "GET"}}, "GET only\n", req.keep_alive);
       return;
     }
+    // One exposition path for the whole node: the global (snapshot)
+    // families plus every registry sample — per-component counters,
+    // pessimism-stall and probe-RTT histograms, and the gateway's own
+    // latency/batch cells.
     respond(id, 200, {{"Content-Type", obs::kPrometheusContentType}},
-            render_metrics(), req.keep_alive);
+            obs::render_prometheus(snapshot(), &runtime_->registry(),
+                                   options_.exemplars),
+            req.keep_alive);
     return;
   }
   if (path == "/status") {
@@ -475,7 +478,21 @@ void Gateway::handle_request(std::uint64_t id, HttpRequest req) {
     }
     const auto samples = runtime_->registry().samples();
     respond(id, 200, {{"Content-Type", "application/json"}},
-            obs::render_status_json(runtime_->status(), &samples),
+            obs::render_status_json(status(), &samples), req.keep_alive);
+    return;
+  }
+  if (path == "/obs") {
+    if (req.method != "GET") {
+      errors_.fetch_add(1);
+      respond(id, 405, {{"Allow", "GET"}}, "GET only\n", req.keep_alive);
+      return;
+    }
+    const obs::NodeReport report{host_.node, snapshot(),
+                                 runtime_->registry().samples(), status()};
+    const std::vector<std::byte> body = report.encode();
+    respond(id, 200, {{"Content-Type", obs::kNodeReportContentType}},
+            std::string_view(reinterpret_cast<const char*>(body.data()),
+                             body.size()),
             req.keep_alive);
     return;
   }
@@ -613,8 +630,8 @@ void Gateway::handle_outputs(std::uint64_t id, const HttpRequest& req,
 
 bool Gateway::maybe_redirect(std::uint64_t id, const HttpRequest& req,
                              const std::string& name) {
-  if (!redirect_fn_) return false;
-  const auto owner = redirect_fn_(name);
+  if (!host_.redirect) return false;
+  const auto owner = host_.redirect(name);
   if (!owner) return false;  // wire is served here
   if (owner->empty()) {
     // Owner is another partition with no advertised http address: nothing
@@ -637,7 +654,7 @@ bool Gateway::maybe_redirect(std::uint64_t id, const HttpRequest& req,
 }
 
 void Gateway::handle_migrate(std::uint64_t id, const HttpRequest& req) {
-  if (!migrate_fn_) {
+  if (!host_.migrate) {
     errors_.fetch_add(1);
     respond(id, 503, {}, "placement control is not enabled on this node\n",
             req.keep_alive);
@@ -666,7 +683,7 @@ void Gateway::handle_migrate(std::uint64_t id, const HttpRequest& req) {
   workers_.emplace_back([this, id, comp, node, keep] {
     MigrateOutcome r;
     try {
-      r = migrate_fn_(comp, node);
+      r = host_.migrate(comp, node);
     } catch (const std::exception& e) {
       r.ok = false;
       r.error = e.what();
@@ -759,8 +776,9 @@ void Gateway::flush_out(std::uint64_t id) {
   if (it == conns_.end()) return;
   Conn* c = it->second.get();
   while (c->out_off < c->outbuf.size()) {
-    const ssize_t n = ::write(c->fd.get(), c->outbuf.data() + c->out_off,
-                              c->outbuf.size() - c->out_off);
+    // MSG_NOSIGNAL: a client gone mid-response is EPIPE, never SIGPIPE.
+    const ssize_t n = ::send(c->fd.get(), c->outbuf.data() + c->out_off,
+                             c->outbuf.size() - c->out_off, MSG_NOSIGNAL);
     if (n > 0) {
       c->out_off += static_cast<std::size_t>(n);
       continue;
@@ -916,15 +934,15 @@ void Gateway::complete_commits(std::vector<PendingInject> batch,
 
 // --- Metrics ----------------------------------------------------------------
 
-std::string Gateway::render_metrics() const {
+core::MetricsSnapshot Gateway::snapshot() const {
   core::MetricsSnapshot m =
-      metrics_fn_ ? metrics_fn_() : runtime_->total_metrics();
+      host_.metrics ? host_.metrics() : runtime_->total_metrics();
   fill(m);
-  // One exposition path for the whole node: the global (snapshot) families
-  // plus every registry sample — per-component counters, pessimism-stall
-  // and probe-RTT histograms, and the gateway's own latency/batch cells.
-  return obs::render_prometheus(m, &runtime_->registry(),
-                                options_.exemplars);
+  return m;
+}
+
+core::StatusReport Gateway::status() const {
+  return host_.status ? host_.status() : runtime_->status();
 }
 
 }  // namespace tart::gateway

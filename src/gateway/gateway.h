@@ -24,7 +24,9 @@
 //   POST /shutdown                ask the host process to exit
 //   GET  /outputs/<output>[?after=N&wait_ms=M&max=K]   drain/long-poll
 //   GET  /metrics                 Prometheus text exposition (obs registry)
-//   GET  /status                  silence-wavefront JSON (per component)
+//   GET  /status                  silence-wavefront + placement JSON
+//   GET  /obs                     binary NodeReport (obs/node_report.h)
+//   GET  /profile                 span-profiler snapshot JSON
 //   GET  /healthz
 //
 // Threading: one event-loop thread owns every socket (accept/read/write,
@@ -102,35 +104,45 @@ class Gateway {
     bool exemplars = false;
   };
 
-  /// Extra metrics merged into GET /metrics (the hosting NetHost supplies
-  /// its transport-inclusive snapshot); defaults to runtime totals.
+  /// Transport-inclusive snapshot behind GET /metrics and GET /obs.
   using MetricsFn = std::function<core::MetricsSnapshot()>;
+
+  /// Wavefront report behind GET /status and GET /obs.
+  using StatusFn = std::function<core::StatusReport()>;
 
   /// Where an external input/output named `name` is served RIGHT NOW, when
   /// that is not here: the advertised http address ("host:port") of the
   /// current owner node, or nullopt to serve locally. Consulted per
   /// request, so the answer tracks live migration — the host backs it
-  /// with the placement table. Null fn = always local (single node).
+  /// with the placement table.
   using RedirectFn =
       std::function<std::optional<std::string>(const std::string& name)>;
 
   /// Executes a live migration (blocking; called off the loop thread).
-  /// Null = placement control is not enabled on this node.
   using MigrateFn = std::function<MigrateOutcome(
       const std::string& component, const std::string& to_node)>;
 
+  /// What the hosting process lends the gateway. Every member is optional;
+  /// the defaults suit a single-process deployment.
+  struct Host {
+    std::string node;  ///< name GET /obs attributes the report to
+    MetricsFn metrics;  ///< null = runtime totals
+    /// null = Runtime::status(); a tart-node adds its placement epoch,
+    /// placement table and in-flight migrations.
+    StatusFn status;
+    std::function<void()> shutdown;  ///< runs on POST /shutdown
+    RedirectFn redirect;  ///< null = every wire is served here
+    MigrateFn migrate;    ///< null = placement control is not enabled
+  };
+
   /// Binds and serves immediately. `inputs`/`outputs` map external names
   /// to wires. In partitioned deployments pass EVERY external wire plus a
-  /// `redirect_fn`: requests for wires owned elsewhere answer 307 toward
+  /// `host.redirect`: requests for wires owned elsewhere answer 307 toward
   /// the current owner (live migration moves ownership mid-run). Throws
-  /// ConfigError when the listen address is bad or taken. `on_shutdown`
-  /// runs when a client POSTs /shutdown.
+  /// ConfigError when the listen address is bad or taken.
   Gateway(core::Runtime* runtime, Options options,
           std::map<std::string, WireId> inputs,
-          std::map<std::string, WireId> outputs,
-          MetricsFn metrics_fn = nullptr,
-          std::function<void()> on_shutdown = nullptr,
-          RedirectFn redirect_fn = nullptr, MigrateFn migrate_fn = nullptr);
+          std::map<std::string, WireId> outputs, Host host = {});
   ~Gateway();
 
   Gateway(const Gateway&) = delete;
@@ -178,7 +190,7 @@ class Gateway {
                       std::string_view name);
   void handle_migrate(std::uint64_t id, const HttpRequest& req);
   /// Answers 307 toward the current owner when `name` is served elsewhere
-  /// (redirect_fn_ says so); returns true when a redirect was sent.
+  /// (host_.redirect says so); returns true when a redirect was sent.
   bool maybe_redirect(std::uint64_t id, const HttpRequest& req,
                       const std::string& name);
   void poll_outputs(std::uint64_t id, WireId wire, std::size_t after,
@@ -190,7 +202,8 @@ class Gateway {
                std::string_view body, bool keep_alive);
   void flush_out(std::uint64_t id);
   void drop_conn(std::uint64_t id);
-  [[nodiscard]] std::string render_metrics() const;
+  [[nodiscard]] core::MetricsSnapshot snapshot() const;
+  [[nodiscard]] core::StatusReport status() const;
 
   // Committer thread.
   void committer_main();
@@ -201,10 +214,7 @@ class Gateway {
   Options options_;
   std::map<std::string, WireId> inputs_;
   std::map<std::string, WireId> outputs_;
-  MetricsFn metrics_fn_;
-  std::function<void()> on_shutdown_;
-  RedirectFn redirect_fn_;
-  MigrateFn migrate_fn_;
+  Host host_;
 
   net::Fd listener_;
   std::uint16_t port_ = 0;

@@ -1,6 +1,7 @@
 #include "gateway/http_client.h"
 
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cctype>
@@ -26,7 +27,8 @@ bool iequals(std::string_view a, std::string_view b) {
 void write_all(int fd, std::string_view bytes) {
   std::size_t off = 0;
   while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+    const ssize_t n =
+        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
     if (n > 0) {
       off += static_cast<std::size_t>(n);
       continue;
@@ -92,9 +94,11 @@ HttpResponse BlockingHttpClient::request(std::string_view method,
 
   // Read until a full response (status line + headers + Content-Length
   // body) is buffered. The server always sends Content-Length.
+  // POST /drain and POST /migrate block server-side for up to their own
+  // 30 s timeouts before answering, so allow twice that.
   const auto read_more = [this] {
     pollfd p{fd_.get(), POLLIN, 0};
-    const int rc = ::poll(&p, 1, 10000);
+    const int rc = ::poll(&p, 1, 60000);
     if (rc <= 0) throw std::runtime_error("http client: response timeout");
     char buf[16384];
     const ssize_t n = ::read(fd_.get(), buf, sizeof(buf));

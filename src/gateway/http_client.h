@@ -1,10 +1,10 @@
-// Minimal blocking HTTP/1.1 client for tests and benches.
+// Minimal blocking HTTP/1.1 client for the tools, tests and benches.
 //
 // Deliberately simple: one connection, keep-alive, synchronous
 // request/response, reusing HttpParser-style incremental response reading.
-// Not part of the production surface — external clients speak ordinary
-// HTTP; this exists so the test suite and bench_gateway need no third-party
-// HTTP library.
+// tart-obs polls GET /obs and tart-node --push POSTs /obs through it; the
+// test suite and bench_gateway use it so they need no third-party HTTP
+// library. External clients speak ordinary HTTP.
 #pragma once
 
 #include <chrono>

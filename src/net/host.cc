@@ -1,41 +1,18 @@
 #include "net/host.h"
 
-#include <poll.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
 #include <utility>
 
 #include "common/logging.h"
 #include "durability/manager.h"
 #include "durability/replay.h"
+#include "gateway/http_client.h"
+#include "obs/node_report.h"
 #include "obs/prof.h"
 
 namespace tart::net {
-namespace {
-
-void write_all(int fd, const std::vector<std::byte>& bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n > 0) {
-      off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      pollfd p{fd, POLLOUT, 0};
-      (void)::poll(&p, 1, 1000);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    throw NetError("control: write failed");
-  }
-}
-
-}  // namespace
-
 NetHost::NetHost(DeploymentConfig deploy, const std::string& partition,
                  HostOptions options)
     : deploy_(std::move(deploy)),
@@ -166,17 +143,6 @@ void NetHost::start() {
   conn_ready_.store(true);
   conn_ready_.notify_all();
 
-  if (!self_->control_addr.empty()) {
-    const auto addr = SockAddr::parse(self_->control_addr);
-    std::string err;
-    control_listener_ = listen_tcp(*addr, &err);
-    if (!control_listener_.valid())
-      throw ConfigError("control listen on " + self_->control_addr +
-                        " failed: " + err);
-    control_port_ = local_port(control_listener_.get());
-    control_thread_ = std::thread([this] { control_accept_loop(); });
-  }
-
   runtime_->start();
 
   // Boot recovery order (docs/PLACEMENT.md): the migration journal decides
@@ -223,24 +189,33 @@ void NetHost::start() {
     gw_options.listen = options_.http_addr;
     gw_options.group_commit = options_.http_group_commit;
     gw_options.exemplars = options_.http_exemplars;
+    gateway::Gateway::Host host;
+    host.node = self_->name;
+    // The gateway adds its own counters; it may serve a request before
+    // gateway_ is assigned, so its hook must not read gateway_.
+    host.metrics = [this] { return metrics_without_gateway(); };
+    host.status = [this] { return status_with_placement(); };
+    host.shutdown = [this] { request_shutdown(); };
+    host.redirect = [this](const std::string& name) {
+      return redirect_for(name);
+    };
+    host.migrate = [this](const std::string& component,
+                          const std::string& to_node) {
+      const placement::MigrationResult r = run_migration(component, to_node);
+      gateway::MigrateOutcome out;
+      out.ok = r.ok;
+      out.epoch = r.epoch;
+      out.slice_bytes = r.slice_bytes;
+      out.delta_bytes = r.delta_bytes;
+      out.record_count = r.record_count;
+      out.transfer_ms = r.transfer_ms;
+      out.blackout_ms = r.blackout_ms;
+      out.error = r.error;
+      return out;
+    };
     gateway_ = std::make_unique<gateway::Gateway>(
         runtime_.get(), std::move(gw_options), built_.inputs, built_.outputs,
-        [this] { return metrics(); }, [this] { request_shutdown(); },
-        [this](const std::string& name) { return redirect_for(name); },
-        [this](const std::string& component, const std::string& to_node) {
-          const placement::MigrationResult r =
-              run_migration(component, to_node);
-          gateway::MigrateOutcome out;
-          out.ok = r.ok;
-          out.epoch = r.epoch;
-          out.slice_bytes = r.slice_bytes;
-          out.delta_bytes = r.delta_bytes;
-          out.record_count = r.record_count;
-          out.transfer_ms = r.transfer_ms;
-          out.blackout_ms = r.blackout_ms;
-          out.error = r.error;
-          return out;
-        });
+        std::move(host));
   }
 
   if (!options_.sample_path.empty()) {
@@ -286,14 +261,6 @@ int NetHost::run_until_shutdown() {
   stop_gauge_timer();
   if (sampler_) sampler_->stop();
   if (gateway_) gateway_->shutdown();
-  control_listener_.reset();
-  if (control_thread_.joinable()) control_thread_.join();
-  {
-    const std::lock_guard<std::mutex> lk(conns_mu_);
-    for (auto& t : conn_threads_)
-      if (t.joinable()) t.join();
-    conn_threads_.clear();
-  }
   runtime_->stop();
   if (conn_) conn_->shutdown();
   return 0;
@@ -302,6 +269,12 @@ int NetHost::run_until_shutdown() {
 void NetHost::request_shutdown() { shutdown_requested_.store(true); }
 
 core::MetricsSnapshot NetHost::metrics() const {
+  core::MetricsSnapshot total = metrics_without_gateway();
+  if (gateway_) gateway_->fill(total);
+  return total;
+}
+
+core::MetricsSnapshot NetHost::metrics_without_gateway() const {
   core::MetricsSnapshot total = runtime_->total_metrics();
   if (conn_) {
     const NetCounters c = conn_->counters();
@@ -328,7 +301,6 @@ core::MetricsSnapshot NetHost::metrics() const {
     total.mig_updates_applied = m.updates_applied;
   }
   total.retention_trimmed_records = runtime_->retention_trimmed();
-  if (gateway_) gateway_->fill(total);
   return total;
 }
 
@@ -375,8 +347,8 @@ void NetHost::gauge_sweep() {
         .set(static_cast<std::int64_t>(seg->bytes_on_disk()));
   }
   // Fold the hot-path profiler's thread-local accumulators into tart_prof_*
-  // cells: they ship with kObs/kGetObs and render in /metrics like any
-  // other sample.
+  // cells: they ship in GET /obs and render in /metrics like any other
+  // sample.
   obs::prof::harvest_into(reg);
   gauge_timer_ = conn_->loop().add_timer(
       EventLoop::Clock::now() +
@@ -388,25 +360,27 @@ void NetHost::stop_gauge_timer() {
   if (!conn_ || options_.gauge_interval_ms <= 0) return;
   // The sweep runs on the loop thread; a posted cancel runs strictly after
   // any in-flight sweep, so once the wait returns no sweep can be touching
-  // the runtime.
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  conn_->loop().post([this, &mu, &cv, &done] {
+  // the runtime. The handshake state is shared, not on this stack: the
+  // posted task may still run (and notify) after a timed-out wait returns.
+  struct Handshake {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool done = false;
+  };
+  const auto hs = std::make_shared<Handshake>();
+  conn_->loop().post([this, hs] {
     if (gauge_timer_ != 0) conn_->loop().cancel_timer(gauge_timer_);
     gauge_timer_ = 0;
-    {
-      const std::lock_guard<std::mutex> lk(mu);
-      done = true;
-    }
-    cv.notify_all();
+    const std::lock_guard<std::mutex> lk(hs->mu);
+    hs->done = true;
+    hs->cv.notify_all();
   });
-  std::unique_lock<std::mutex> lk(mu);
-  cv.wait_for(lk, std::chrono::seconds(1), [&] { return done; });
+  std::unique_lock<std::mutex> lk(hs->mu);
+  hs->cv.wait_for(lk, std::chrono::seconds(1), [&] { return hs->done; });
 }
 
 void NetHost::push_loop() {
-  std::optional<ControlClient> client;
+  std::optional<gateway::BlockingHttpClient> client;
   auto next = std::chrono::steady_clock::now();
   while (true) {
     next += std::chrono::milliseconds(options_.push_interval_ms);
@@ -416,20 +390,20 @@ void NetHost::push_loop() {
     }
     if (shutdown_requested_.load() || stopping_.load()) return;
     if (!client)
-      client = ControlClient::connect(options_.push_addr,
-                                      std::chrono::milliseconds(500));
+      client = gateway::BlockingHttpClient::connect(
+          options_.push_addr, std::chrono::milliseconds(500));
     if (!client) continue;  // collector down; redial next tick
     try {
-      ObsPushBody body;
-      body.node = self_->name;
-      body.ts_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                       std::chrono::system_clock::now().time_since_epoch())
-                       .count();
-      body.metrics = metrics();
-      body.samples = runtime_->registry().samples();
-      const NetMessage resp =
-          client->request(NetMsgType::kObsPush, body.encode());
-      if (resp.type != NetMsgType::kAck) client.reset();
+      const obs::NodeReport report{self_->name, metrics(),
+                                   runtime_->registry().samples(),
+                                   status_with_placement()};
+      const std::vector<std::byte> body = report.encode();
+      const auto resp = client->post(
+          "/obs",
+          std::string_view(reinterpret_cast<const char*>(body.data()),
+                           body.size()),
+          obs::kNodeReportContentType);
+      if (resp.status != 200) client.reset();
     } catch (const std::exception&) {
       client.reset();
     }
@@ -583,158 +557,6 @@ core::StatusReport NetHost::status_with_placement() {
     report.migrations.push_back(core::MigrationStatus{
         m.epoch, m.component.value(), m.from.value(), m.to.value(), m.stage});
   return report;
-}
-
-// --- Control plane ----------------------------------------------------------
-
-void NetHost::control_accept_loop() {
-  while (!stopping_.load() && !shutdown_requested_.load()) {
-    pollfd p{control_listener_.get(), POLLIN, 0};
-    const int rc = ::poll(&p, 1, 200);
-    if (rc <= 0) continue;
-    Fd fd = accept_tcp(control_listener_.get());
-    if (!fd.valid()) continue;
-    const std::lock_guard<std::mutex> lk(conns_mu_);
-    conn_threads_.emplace_back(
-        [this, shared = std::make_shared<Fd>(std::move(fd))]() mutable {
-          control_serve(std::move(*shared));
-        });
-  }
-}
-
-void NetHost::control_serve(Fd fd) {
-  StreamDecoder decoder;
-  try {
-    while (!stopping_.load()) {
-      while (auto msg = decoder.next()) {
-        const NetMessage response = handle_control(*msg);
-        write_all(fd.get(), encode_message(response.type, response.payload));
-      }
-      pollfd p{fd.get(), POLLIN, 0};
-      const int rc = ::poll(&p, 1, 200);
-      if (rc <= 0) continue;
-      std::byte buf[16384];
-      const ssize_t n = ::read(fd.get(), buf, sizeof(buf));
-      if (n == 0) return;  // client went away
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
-          continue;
-        return;
-      }
-      decoder.feed(buf, static_cast<std::size_t>(n));
-    }
-  } catch (const std::exception& e) {
-    TART_WARN << "control connection dropped: " << e.what();
-  }
-}
-
-NetMessage NetHost::handle_control(const NetMessage& request) {
-  const auto error = [](const std::string& what) {
-    return NetMessage{NetMsgType::kError, encode_string_body(what)};
-  };
-  try {
-    switch (request.type) {
-      case NetMsgType::kPing:
-        return NetMessage{NetMsgType::kAck, {}};
-      case NetMsgType::kInject: {
-        const InjectBody body = InjectBody::decode(request.payload);
-        const auto it = built_.inputs.find(body.input);
-        if (it == built_.inputs.end())
-          return error("unknown input '" + body.input + "'");
-        const core::InjectResult r =
-            body.vt < 0
-                ? runtime_->try_inject(it->second, body.payload)
-                : runtime_->try_inject_at(it->second, VirtualTime(body.vt),
-                                          body.payload);
-        switch (r.status) {
-          case core::InjectStatus::kOk:
-            return NetMessage{NetMsgType::kInjectAck,
-                              encode_i64_body(r.vt.ticks())};
-          case core::InjectStatus::kUnknownWire:
-            return error("input '" + body.input + "' not adaptable here");
-          case core::InjectStatus::kClosed:
-            return error("input '" + body.input + "' is closed");
-          case core::InjectStatus::kVtRegressed:
-            return error("vt " + std::to_string(body.vt) +
-                         " is not after the last logged vt on '" +
-                         body.input + "'");
-          case core::InjectStatus::kStoreFailed:
-            return error("stable store append failed (injection NOT durable)");
-        }
-        return error("unreachable");
-      }
-      case NetMsgType::kCloseInput: {
-        const std::string name = decode_string_body(request.payload);
-        const auto it = built_.inputs.find(name);
-        if (it == built_.inputs.end())
-          return error("unknown input '" + name + "'");
-        runtime_->close_input(it->second);
-        return NetMessage{NetMsgType::kAck, {}};
-      }
-      case NetMsgType::kDrain: {
-        const auto timeout =
-            std::chrono::milliseconds(decode_i64_body(request.payload));
-        const bool ok = runtime_->drain(timeout);
-        return NetMessage{NetMsgType::kDrainAck, encode_i64_body(ok ? 1 : 0)};
-      }
-      case NetMsgType::kGetOutputs: {
-        const std::string name = decode_string_body(request.payload);
-        const auto it = built_.outputs.find(name);
-        if (it == built_.outputs.end())
-          return error("unknown output '" + name + "'");
-        std::vector<ControlOutputRecord> records;
-        for (const auto& rec : runtime_->output_records(it->second))
-          records.push_back(
-              ControlOutputRecord{rec.vt.ticks(), rec.payload, rec.stutter});
-        return NetMessage{NetMsgType::kOutputs, encode_outputs_body(records)};
-      }
-      case NetMsgType::kGetMetrics:
-        return NetMessage{NetMsgType::kMetrics, encode_metrics_body(metrics())};
-      case NetMsgType::kGetStatus:
-        return NetMessage{NetMsgType::kStatus,
-                          encode_status_body(status_with_placement())};
-      case NetMsgType::kMigrate: {
-        const MigrateBody body = MigrateBody::decode(request.payload);
-        const placement::MigrationResult r =
-            run_migration(body.component, body.to_node);
-        MigrateResultBody out;
-        out.ok = r.ok;
-        out.epoch = r.epoch;
-        out.slice_bytes = r.slice_bytes;
-        out.delta_bytes = r.delta_bytes;
-        out.record_count = r.record_count;
-        out.transfer_ms = r.transfer_ms;
-        out.blackout_ms = r.blackout_ms;
-        out.error = r.error;
-        return NetMessage{NetMsgType::kMigrateAck, out.encode()};
-      }
-      case NetMsgType::kGetObs:
-        return NetMessage{NetMsgType::kObs,
-                          encode_obs_body(runtime_->registry().samples())};
-      case NetMsgType::kCheckpoint: {
-        durability::CheckpointManager* manager =
-            runtime_->checkpoint_manager();
-        if (manager == nullptr)
-          return error("durability is not enabled on this node");
-        const durability::CheckpointStats stats = manager->checkpoint_now();
-        CheckpointResultBody body;
-        body.ok = stats.ok;
-        body.id = stats.id;
-        body.bytes = stats.bytes;
-        body.covered_records = stats.covered_records;
-        body.reclaimed_records = stats.reclaimed_records;
-        body.error = stats.error;
-        return NetMessage{NetMsgType::kCheckpointAck, body.encode()};
-      }
-      case NetMsgType::kShutdown:
-        request_shutdown();
-        return NetMessage{NetMsgType::kAck, {}};
-      default:
-        return error("unexpected control message type");
-    }
-  } catch (const std::exception& e) {
-    return error(e.what());
-  }
 }
 
 }  // namespace tart::net

@@ -15,11 +15,12 @@
 //     (and, via sequence accounting, replay of anything lost while the
 //     link was down or this node was dead). §II.F.4's recovery story over
 //     real sockets.
-//   - control plane: a small blocking TCP server (control.h protocol) for
-//     external drivers to inject inputs, drain, and read outputs/metrics.
-//     Injections flow through the normal external-input adapters, so they
-//     are timestamped + logged and a control-driven run cold-restarts from
-//     log_dir exactly like any other (§II.E).
+//   - operator plane: the HTTP gateway (gateway/gateway.h) — the only way
+//     to inject inputs, drain, read outputs and telemetry, checkpoint,
+//     migrate, or stop the node. Injections flow through the normal
+//     external-input adapters, so they are timestamped + logged and an
+//     HTTP-driven run cold-restarts from log_dir exactly like any other
+//     (§II.E).
 #pragma once
 
 #include <atomic>
@@ -33,10 +34,9 @@
 #include "core/runtime.h"
 #include "gateway/gateway.h"
 #include "net/connection_manager.h"
-#include "obs/sampler.h"
-#include "net/control.h"
 #include "net/partition_config.h"
 #include "net/topologies.h"
+#include "obs/sampler.h"
 #include "placement/coordinator.h"
 
 namespace tart::net {
@@ -60,8 +60,8 @@ struct HostOptions {
   /// on the connection manager's event loop. <= 0 disables the sweep.
   int gauge_interval_ms = 500;
   /// Push-based remote write: "host:port" of a collector (tart-obs
-  /// --listen) to ship kObsPush telemetry to every push_interval_ms.
-  /// Empty = no pushing (default).
+  /// --listen) to POST /obs this node's NodeReport to every
+  /// push_interval_ms. Empty = no pushing (default).
   std::string push_addr;
   int push_interval_ms = 1000;
   /// Durable checkpoints + checkpoint-gated log compaction + tiered fast
@@ -90,10 +90,10 @@ class NetHost {
   NetHost(const NetHost&) = delete;
   NetHost& operator=(const NetHost&) = delete;
 
-  /// Starts the runtime, the peer transport, and the control server.
+  /// Starts the runtime, the peer transport, and the HTTP gateway.
   void start();
 
-  /// Blocks until request_shutdown() (control kShutdown or a signal
+  /// Blocks until request_shutdown() (POST /shutdown or a signal
   /// handler), then tears everything down. Returns a process exit code.
   int run_until_shutdown();
 
@@ -106,9 +106,9 @@ class NetHost {
   [[nodiscard]] placement::MigrationCoordinator& coordinator() {
     return *coordinator_;
   }
-  /// Runtime totals merged with the socket-transport counters.
+  /// Runtime totals merged with the socket-transport, placement and
+  /// gateway counters.
   [[nodiscard]] core::MetricsSnapshot metrics() const;
-  [[nodiscard]] std::uint16_t control_port() const { return control_port_; }
   [[nodiscard]] std::uint16_t data_port() const {
     return conn_ ? conn_->listen_port() : 0;
   }
@@ -133,12 +133,10 @@ class NetHost {
   /// now, or nullopt when that is this node (gateway 307 redirects).
   [[nodiscard]] std::optional<std::string> redirect_for(
       const std::string& name);
+  /// metrics() minus the gateway's own counters.
+  [[nodiscard]] core::MetricsSnapshot metrics_without_gateway() const;
   /// Status report with the placement-plane fields filled in.
   [[nodiscard]] core::StatusReport status_with_placement();
-
-  void control_accept_loop();
-  void control_serve(Fd fd);
-  [[nodiscard]] NetMessage handle_control(const NetMessage& request);
 
   /// Loop-thread only: one gauge sweep (wire queue depths, retention
   /// buffers, external-log sizes) into the runtime's registry, then
@@ -147,6 +145,8 @@ class NetHost {
   /// Synchronously cancels the gauge timer on the loop thread (so no sweep
   /// can be mid-flight when the runtime starts stopping).
   void stop_gauge_timer();
+  /// POSTs this node's GET /obs report to the push collector every
+  /// push_interval_ms.
   void push_loop();
 
   DeploymentConfig deploy_;
@@ -175,12 +175,6 @@ class NetHost {
   /// Loop-thread only (armed via post()).
   EventLoop::TimerId gauge_timer_ = 0;
   std::thread push_thread_;
-
-  Fd control_listener_;
-  std::uint16_t control_port_ = 0;
-  std::thread control_thread_;
-  std::mutex conns_mu_;
-  std::vector<std::thread> conn_threads_;
 
   std::mutex shutdown_mu_;
   std::condition_variable shutdown_cv_;

@@ -55,7 +55,7 @@ std::uint64_t DeploymentConfig::topology_fingerprint() const {
   for (const auto& p : partitions) {
     w.write_string(p.name);
     w.write_string(p.data_addr);
-    // control_addr / http_addr deliberately excluded: node-operator
+    // http_addr deliberately excluded: node-operator
     // plumbing, not part of the distributed protocol two peers must agree
     // on. Placement is excluded too — it drifts under live migration.
   }
@@ -74,7 +74,6 @@ std::uint64_t DeploymentConfig::placement_fingerprint() const {
 
 DeploymentConfig DeploymentConfig::parse(const std::string& text) {
   DeploymentConfig cfg;
-  std::map<std::string, std::string> controls;  // partition -> control addr
   std::map<std::string, std::string> https;     // partition -> http addr
   std::istringstream in(text);
   std::string raw;
@@ -109,13 +108,12 @@ DeploymentConfig DeploymentConfig::parse(const std::string& text) {
       if (!SockAddr::parse(value))
         fail(lineno, "bad address '" + value + "' (want host:port)");
       cfg.partitions.push_back(
-          PartitionSpec{name, value, "", "", EngineId::invalid()});
+          PartitionSpec{name, value, "", EngineId::invalid()});
     } else if (directive == "control") {
-      if (name.empty()) fail(lineno, "'control' needs a partition name");
-      if (!SockAddr::parse(value))
-        fail(lineno, "bad address '" + value + "' (want host:port)");
-      if (!controls.emplace(name, value).second)
-        fail(lineno, "duplicate control for '" + name + "'");
+      // Accepted and ignored: nodes are operated over HTTP only, but
+      // deployment files written for the retired binary control protocol
+      // (perfbench/workload.cc writes them for fanin-2node) must keep
+      // parsing.
     } else if (directive == "http") {
       if (name.empty()) fail(lineno, "'http' needs a partition name");
       if (!SockAddr::parse(value))
@@ -140,20 +138,12 @@ DeploymentConfig DeploymentConfig::parse(const std::string& text) {
             });
   for (std::size_t i = 0; i < cfg.partitions.size(); ++i) {
     cfg.partitions[i].engine = EngineId(static_cast<std::uint32_t>(i));
-    if (const auto it = controls.find(cfg.partitions[i].name);
-        it != controls.end()) {
-      cfg.partitions[i].control_addr = it->second;
-      controls.erase(it);
-    }
     if (const auto it = https.find(cfg.partitions[i].name);
         it != https.end()) {
       cfg.partitions[i].http_addr = it->second;
       https.erase(it);
     }
   }
-  if (!controls.empty())
-    throw ConfigError("control declared for unknown partition '" +
-                      controls.begin()->first + "'");
   if (!https.empty())
     throw ConfigError("http declared for unknown partition '" +
                       https.begin()->first + "'");

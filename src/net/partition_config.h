@@ -2,20 +2,23 @@
 //
 // A deployment file names a topology from the catalog (src/net/topologies),
 // declares the partitions (one OS process each, with a data address the
-// socket transport listens on and a control address for external drivers),
-// and places every component onto a partition. The format is line-oriented:
+// socket transport listens on), and places every component onto a
+// partition. The format is line-oriented:
 //
 //   # comment
 //   topology = wordcount
 //   param senders = 2
 //   partition left  = 127.0.0.1:7101
-//   control  left   = 127.0.0.1:7201
 //   partition right = 127.0.0.1:7102
-//   control  right  = 127.0.0.1:7202
 //   http     right  = 127.0.0.1:7302   # optional: advertised gateway addr
 //   place sender1 = left
 //   place sender2 = left
 //   place merger  = right
+//
+// Operators reach a node only through its HTTP gateway (tart-node --http).
+// `control NAME = ADDR` lines, which named the retired binary control
+// protocol's listen address, are accepted and ignored so older deployment
+// files keep working.
 //
 // Addresses may be numeric IPv4, bracketed IPv6 ("[fe80::1]:7101"), or
 // hostnames ("db-2.rack1:7101") — hostnames resolve via getaddrinfo when
@@ -48,10 +51,9 @@ class ConfigError : public std::runtime_error {
 
 struct PartitionSpec {
   std::string name;
-  std::string data_addr;     ///< host:port the ConnectionManager listens on
-  std::string control_addr;  ///< host:port the control server listens on
-  std::string http_addr;     ///< advertised HTTP gateway (for 307 redirects)
-  EngineId engine;           ///< index in sorted-name order
+  std::string data_addr;  ///< host:port the ConnectionManager listens on
+  std::string http_addr;  ///< advertised HTTP gateway (for 307 redirects)
+  EngineId engine;        ///< index in sorted-name order
 };
 
 struct DeploymentConfig {

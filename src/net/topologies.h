@@ -19,7 +19,7 @@
 
 namespace tart::net {
 
-/// A built topology plus name->id maps so deployment files and control
+/// A built topology plus name->id maps so deployment files and HTTP
 /// clients can speak in names.
 struct BuiltTopology {
   core::Topology topology;

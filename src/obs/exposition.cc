@@ -534,6 +534,25 @@ std::string render_status_json(const core::StatusReport& report,
     }
     out += "]}";
   }
+  out += "],\"placement_epoch\":" + std::to_string(report.placement_epoch);
+  out += ",\"placement\":[";
+  for (std::size_t i = 0; i < report.placement.size(); ++i) {
+    const core::PlacementEntry& e = report.placement[i];
+    if (i != 0) out += ',';
+    out += "{\"component\":" + std::to_string(e.component);
+    out += ",\"engine\":" + std::to_string(e.engine);
+    out += ",\"epoch\":" + std::to_string(e.epoch) + '}';
+  }
+  out += "],\"migrations\":[";
+  for (std::size_t i = 0; i < report.migrations.size(); ++i) {
+    const core::MigrationStatus& m = report.migrations[i];
+    if (i != 0) out += ',';
+    out += "{\"epoch\":" + std::to_string(m.epoch);
+    out += ",\"component\":" + std::to_string(m.component);
+    out += ",\"from_engine\":" + std::to_string(m.from_engine);
+    out += ",\"to_engine\":" + std::to_string(m.to_engine);
+    out += ",\"stage\":\"" + json_escape(m.stage) + "\"}";
+  }
   out += ']';
   if (samples != nullptr) {
     // Stall exemplars: the bridge from a histogram bucket to the flight

@@ -1,7 +1,6 @@
 // Prometheus text exposition (format 0.0.4) — the ONE rendering routine
-// behind the gateway's GET /metrics, the control-plane metrics dump shown
-// by tart-ctl, and bench printouts. Three hand-rolled renderings used to
-// drift apart; now they can't.
+// behind the gateway's GET /metrics and bench printouts. Hand-rolled
+// renderings used to drift apart; now they can't.
 //
 // Conventions enforced here and checked by lint_exposition (which runs in
 // scripts/check.sh against a live scrape):
@@ -58,7 +57,8 @@ inline constexpr const char* kPrometheusContentType =
 [[nodiscard]] std::optional<std::string> lint_exposition(
     const std::string& text);
 
-/// GET /status body: the silence wavefront as JSON. Infinite silence
+/// GET /status body: the silence wavefront as JSON, then the placement
+/// epoch, placement table and in-flight migrations. Infinite silence
 /// horizons render as the string "inf". When `samples` is non-null, a
 /// "stall_exemplars" section links histogram buckets to the stall episode
 /// ids the flight recorder knows about.

@@ -173,7 +173,7 @@ class Histogram {
 };
 
 /// One plain-value sample, as read out of the registry (and as shipped in
-/// the control-plane kObs body).
+/// the GET /obs report, obs/node_report.h).
 struct Sample {
   std::string name;
   std::string help;
@@ -238,7 +238,7 @@ class Registry {
   std::vector<std::unique_ptr<Cell>> cells_;
 };
 
-/// Serde for a sample set (control-plane kObs body). Deterministic byte
+/// Serde for a sample set (part of the GET /obs report). Deterministic byte
 /// encoding given the same samples.
 void encode_samples(serde::Writer& w, const std::vector<Sample>& samples);
 [[nodiscard]] std::vector<Sample> decode_samples(serde::Reader& r);

@@ -1,8 +1,8 @@
 // Fixed-bucket histogram plus percentile extraction; used by benches to
 // report latency distributions (the paper's figures report averages, we add
 // percentiles for the ablation studies) and by the telemetry registry
-// (src/obs) as the plain-value snapshot type that travels over the control
-// plane and merges across nodes in tart-obs.
+// (src/obs) as the plain-value snapshot type that travels in GET /obs and
+// merges across nodes in tart-obs.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +40,7 @@ class Histogram {
   /// aggregators (tart-obs) must not silently blend incompatible scales.
   [[nodiscard]] bool merge(const Histogram& other);
 
-  /// Deterministic serde round-trip, for the control-plane obs dump.
+  /// Deterministic serde round-trip, for the GET /obs report.
   void encode(serde::Writer& w) const;
   [[nodiscard]] static Histogram decode(serde::Reader& r);
 

@@ -21,6 +21,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "common/logging.h"
 #include "core/runtime.h"
@@ -97,9 +98,10 @@ int main(int argc, char** argv) {
     tart::core::Runtime runtime(built.topology, placement, config);
     runtime.start();
 
-    tart::gateway::Gateway gateway(
-        &runtime, gw_options, built.inputs, built.outputs, nullptr,
-        [] { g_shutdown.store(true); });
+    tart::gateway::Gateway::Host host;
+    host.shutdown = [] { g_shutdown.store(true); };
+    tart::gateway::Gateway gateway(&runtime, gw_options, built.inputs,
+                                   built.outputs, std::move(host));
     g_gateway = &gateway;
     std::signal(SIGINT, on_signal);
     std::signal(SIGTERM, on_signal);

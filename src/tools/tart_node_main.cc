@@ -11,9 +11,9 @@
 // Every node of a deployment runs this binary with the SAME config file and
 // its own partition name. The node builds the global topology, constructs
 // only its partition's engine, bridges cross-partition wires over TCP
-// (reconnecting forever), and serves the control protocol on the
-// partition's control address. It runs until a control kShutdown request
-// or SIGINT/SIGTERM.
+// (reconnecting forever), and — with --http — serves the HTTP gateway, the
+// node's only operator surface. It runs until POST /shutdown or
+// SIGINT/SIGTERM.
 //
 // With --log-dir, external inputs are write-through persisted; restarting
 // the node over the same directory cold-restarts it from stable storage:
@@ -22,24 +22,26 @@
 // story (§II.F) demonstrated across real processes (see
 // scripts/net_soak.sh, which SIGKILLs a node mid-run).
 //
-// With --http, the node additionally serves the HTTP ingress gateway
-// (docs/GATEWAY.md) for this partition's external inputs/outputs: POSTed
-// injections are acked only once durable in the log (log-before-ack).
+// With --http, the node serves the HTTP gateway (docs/GATEWAY.md): inject,
+// close, drain, outputs, checkpoint, migrate, shutdown, and the telemetry
+// endpoints (/metrics, /status, /obs, /profile). POSTed injections are
+// acked only once durable in the log (log-before-ack). A node without
+// --http runs its partition but cannot be driven from outside.
 // --exemplars adds OpenMetrics exemplars to GET /metrics histograms,
 // linking fat stall buckets to `tart-trace explain --episode` ids.
 //
-// With --push=ADDR, the node remote-writes its telemetry (metrics +
-// registry samples) to a collector — `tart-obs --listen` — every interval,
+// With --push=ADDR, the node POSTs its GET /obs report (metrics, registry
+// samples, status) to a collector — `tart-obs --listen` — every interval,
 // for deployments where the collector cannot dial the nodes.
 //
 // With --durable (requires --log-dir), the node writes durable checkpoints
 // (docs/RECOVERY.md), compacts its external log below the newest durable
 // checkpoint, and restarts fast: checkpoint restore + suffix-only replay
 // with outputs suppressed instead of a full cold replay. Checkpoints fire
-// on demand (control kCheckpoint / gateway POST /checkpoint) and, with
+// on demand (POST /checkpoint) and, with
 // --checkpoint-interval-ms / --checkpoint-bytes, automatically.
 //
-// Live migration (docs/PLACEMENT.md): `tart-ctl migrate` / POST /migrate
+// Live migration (docs/PLACEMENT.md): POST /migrate?component=C&to=NODE
 // moves a component to another node with the staged VT-barrier protocol.
 // --migrate-crash-at=STAGE is test-only fault injection: the process
 // _exit(137)s at that stage boundary (prepare|transfer|delta|
@@ -191,10 +193,8 @@ int main(int argc, char** argv) {
     std::signal(SIGTERM, on_signal);
     host.start();
     std::fprintf(stderr,
-                 "tart-node: partition '%s' up (data :%u, control :%u, "
-                 "http :%u)\n",
-                 partition.c_str(), host.data_port(), host.control_port(),
-                 host.http_port());
+                 "tart-node: partition '%s' up (data :%u, http :%u)\n",
+                 partition.c_str(), host.data_port(), host.http_port());
     const int rc = host.run_until_shutdown();
     g_host = nullptr;
     return rc;

@@ -1,28 +1,31 @@
 // tart-obs: cluster-wide observability console.
 //
 //   tart-obs [--once] [--interval-ms=N] [--series=FILE] [--strict]
-//            [--listen=ADDR|PORT] [<control-addr>...]
-//   tart-obs top [--once] [--interval-ms=N] <control-addr>...
+//            [--listen=ADDR|PORT] [<http-addr>...]
+//   tart-obs top [--once] [--interval-ms=N] <http-addr>...
 //   tart-obs --scrape <http-addr>...
+//
+// Every mode talks to the nodes' HTTP gateways (tart-node --http), the one
+// operator surface a node has.
 //
 // `top` mode is the hot-path profiler's live view (src/obs/prof.h): one
 // line per node with event-loop busy %, loop-lag p99, and profiled thread
 // count, then the top spans by self-time aggregated across the fleet —
 // where wall-clock time actually goes, refreshed in place. The data rides
-// the same kGetObs sample shipment as the main console (the registry sweep
-// harvests tart_prof_* cells), so no extra wire protocol is involved.
+// the same GET /obs report as the main console (the registry sweep
+// harvests tart_prof_* cells).
 //
-// Control mode (default) polls every node's control port for its merged
-// MetricsSnapshot, its telemetry registry samples (labelled counters and
-// histograms), and its silence wavefront, then prints one aggregated
-// per-component table: messages processed, pessimism events, stall
-// percentiles (all input wires of the component merged), curiosity probes,
-// and the estimator-error median. Components currently *held* by the
-// pessimistic merge are listed below the table with the wires blocking
-// them — the operator's answer to "why is nothing happening?". A
-// `placement:` section follows when the nodes run a placement plane:
-// component -> owning node, the placement epoch, and any live migration
-// in flight (docs/PLACEMENT.md).
+// The default mode polls every node's GET /obs (obs/node_report.h): its
+// merged MetricsSnapshot, its telemetry registry samples (labelled counters
+// and full histograms), and its silence wavefront with placement, then
+// prints one aggregated per-component table: messages processed, pessimism
+// events, stall percentiles (all input wires of the component merged),
+// curiosity probes, and the estimator-error median. Components currently
+// *held* by the pessimistic merge are listed below the table with the
+// wires blocking them — the operator's answer to "why is nothing
+// happening?". A `placement:` section follows when the nodes run a
+// placement plane: component -> owning node, the placement epoch, and any
+// live migration in flight (docs/PLACEMENT.md).
 //
 // Counters SUM across nodes, gauges take the max (high-water semantics),
 // and histograms merge bucketwise (obs::merge_samples), so the table reads
@@ -33,20 +36,20 @@
 // Exit status reflects down nodes only under --strict (for scripts).
 //
 // --listen=ADDR accepts push-based remote writes (tart-node --push): nodes
-// that cannot be dialed ship kObsPush envelopes instead, and their samples
-// enter the very same SUM/MAX/bucketwise merge as polled nodes. Polling
-// and pushing can be mixed freely; a node heard from both ways would be
+// that cannot be dialed POST /obs the same report instead, and it enters
+// the very same SUM/MAX/bucketwise merge as polled nodes. Polling and
+// pushing can be mixed freely; a node heard from both ways would be
 // double-counted, so point --push at nodes the console does not poll.
 //
 // --series=FILE appends one JSONL line per poll round (same shape as the
 // node-side --sample file) for offline plotting.
 //
-// --scrape mode drives the HTTP gateway instead: GET /metrics must lint
-// clean against the Prometheus conventions (obs::lint_exposition) and
-// contain the per-wire stall-attribution family; GET /status must parse.
-// scripts/net_soak.sh runs this against live nodes mid-soak. Exit is
-// nonzero on any failure, so it doubles as a health gate.
+// --scrape mode is a health gate: GET /metrics must lint clean against the
+// Prometheus conventions (obs::lint_exposition) and contain the per-wire
+// stall-attribution family; GET /status must parse. scripts/net_soak.sh
+// runs this against live nodes mid-soak. Exit is nonzero on any failure.
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <csignal>
@@ -66,11 +69,11 @@
 #include <utility>
 #include <vector>
 
+#include "gateway/http.h"
 #include "gateway/http_client.h"
-#include "net/control.h"
 #include "net/socket.h"
-#include "net/wire_format.h"
 #include "obs/exposition.h"
+#include "obs/node_report.h"
 #include "obs/registry.h"
 #include "obs/sampler.h"
 
@@ -80,6 +83,7 @@ using tart::core::ComponentStatus;
 using tart::core::MetricsSnapshot;
 using tart::core::StatusReport;
 using tart::core::WireStatus;
+using tart::obs::NodeReport;
 
 std::atomic<bool> g_stop{false};
 
@@ -88,23 +92,46 @@ void on_signal(int) { g_stop.store(true); }
 int usage() {
   std::fprintf(stderr,
                "usage: tart-obs [--once] [--interval-ms=N] [--series=FILE] "
-               "[--strict] [--listen=ADDR|PORT] [<control-addr>...]\n"
+               "[--strict] [--listen=ADDR|PORT] [<http-addr>...]\n"
                "       tart-obs top [--once] [--interval-ms=N] "
-               "<control-addr>...\n"
+               "<http-addr>...\n"
                "       tart-obs --scrape <http-addr>...\n");
   return 2;
 }
 
-/// Collector side of push-based remote write: accepts kObsPush envelopes
-/// from `tart-node --push` and keeps the latest shipment per node. Threads
-/// are detached and the server is leaked — it lives exactly as long as the
-/// process, like the signal handlers.
+/// GET /obs from one node; nullopt (reported on stderr) when it is down.
+std::optional<NodeReport> poll_node(const std::string& addr) {
+  auto client = tart::gateway::BlockingHttpClient::connect(
+      addr, std::chrono::seconds(2));
+  if (!client) return std::nullopt;
+  try {
+    const auto resp = client->get("/obs");
+    if (resp.status != 200)
+      throw std::runtime_error("GET /obs -> " + std::to_string(resp.status));
+    return NodeReport::decode(resp.body);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "tart-obs: %s: %s\n", addr.c_str(), e.what());
+    return std::nullopt;
+  }
+}
+
+/// Collector side of push-based remote write: serves POST /obs for
+/// `tart-node --push` and keeps the latest report per node. One thread
+/// accepts; each connection gets its own thread. All of them stop once
+/// g_stop is set and are joined by the destructor.
 class PushServer {
  public:
+  PushServer() = default;
+  PushServer(const PushServer&) = delete;
+  PushServer& operator=(const PushServer&) = delete;
+  ~PushServer() {
+    g_stop.store(true);
+    if (accept_thread_.joinable()) accept_thread_.join();
+  }
+
   struct Shipment {
     std::chrono::steady_clock::time_point received;
-    MetricsSnapshot metrics;
-    std::vector<tart::obs::Sample> samples;
+    NodeReport report;
   };
 
   bool start(const std::string& spec) {
@@ -124,7 +151,7 @@ class PushServer {
       return false;
     }
     port_ = tart::net::local_port(listener_.get());
-    std::thread([this] { accept_loop(); }).detach();
+    accept_thread_ = std::thread([this] { accept_loop(); });
     return true;
   }
 
@@ -143,22 +170,25 @@ class PushServer {
 
  private:
   void accept_loop() {
+    std::vector<std::thread> conns;
     while (!g_stop.load()) {
       pollfd p{listener_.get(), POLLIN, 0};
       if (::poll(&p, 1, 200) <= 0) continue;
       tart::net::Fd fd = tart::net::accept_tcp(listener_.get());
       if (!fd.valid()) continue;
-      std::thread([this, shared = std::make_shared<tart::net::Fd>(
-                             std::move(fd))]() mutable {
+      conns.emplace_back([this, shared = std::make_shared<tart::net::Fd>(
+                                    std::move(fd))]() mutable {
         serve(std::move(*shared));
-      }).detach();
+      });
     }
+    for (auto& t : conns) t.join();
   }
 
-  static void write_all(int fd, const std::vector<std::byte>& bytes) {
+  static void write_all(int fd, std::string_view bytes) {
     std::size_t off = 0;
     while (off < bytes.size()) {
-      const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+      const ssize_t n =
+          ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
       if (n > 0) {
         off += static_cast<std::size_t>(n);
         continue;
@@ -169,33 +199,40 @@ class PushServer {
         continue;
       }
       if (n < 0 && errno == EINTR) continue;
-      throw tart::net::NetError("push: write failed");
+      throw std::runtime_error("push: write failed");
     }
   }
 
+  /// Answers one request; only POST /obs carrying a NodeReport is stored.
+  std::pair<int, std::string> handle(const tart::gateway::HttpRequest& req) {
+    if (req.path != "/obs") return {404, "unknown endpoint\n"};
+    if (req.method != "POST") return {405, "POST only\n"};
+    NodeReport report;
+    try {
+      report = NodeReport::decode(req.body);
+    } catch (const std::exception& e) {
+      return {400, std::string(e.what()) + "\n"};
+    }
+    const std::lock_guard<std::mutex> lk(mu_);
+    Shipment& s = by_node_[report.node];
+    s.received = std::chrono::steady_clock::now();
+    s.report = std::move(report);
+    return {200, "ok\n"};
+  }
+
   void serve(tart::net::Fd fd) {
-    tart::net::StreamDecoder decoder;
+    // A report carries every histogram of the node; allow bodies as large
+    // as a peer envelope.
+    tart::gateway::HttpLimits limits;
+    limits.max_body = 16u * 1024 * 1024;
+    tart::gateway::HttpParser parser(limits);
     try {
       while (!g_stop.load()) {
-        while (auto msg = decoder.next()) {
-          if (msg->type != tart::net::NetMsgType::kObsPush) {
-            write_all(fd.get(),
-                      tart::net::encode_message(
-                          tart::net::NetMsgType::kError,
-                          tart::net::encode_string_body(
-                              "expected obs-push")));
-            continue;
-          }
-          auto body = tart::net::ObsPushBody::decode(msg->payload);
-          {
-            const std::lock_guard<std::mutex> lk(mu_);
-            Shipment& s = by_node_[body.node];
-            s.received = std::chrono::steady_clock::now();
-            s.metrics = body.metrics;
-            s.samples = std::move(body.samples);
-          }
-          write_all(fd.get(), tart::net::encode_message(
-                                  tart::net::NetMsgType::kAck, {}));
+        while (auto req = parser.next()) {
+          const auto [status, body] = handle(*req);
+          write_all(fd.get(), tart::gateway::http_response(
+                                  status, {}, body, req->keep_alive));
+          if (!req->keep_alive) return;
         }
         pollfd p{fd.get(), POLLIN, 0};
         if (::poll(&p, 1, 200) <= 0) continue;
@@ -207,7 +244,7 @@ class PushServer {
             continue;
           return;
         }
-        decoder.feed(buf, static_cast<std::size_t>(n));
+        parser.feed(buf, static_cast<std::size_t>(n));
       }
     } catch (const std::exception& e) {
       std::fprintf(stderr, "tart-obs: push connection dropped: %s\n",
@@ -219,6 +256,7 @@ class PushServer {
   std::uint16_t port_ = 0;
   mutable std::mutex mu_;
   std::map<std::string, Shipment> by_node_;
+  std::thread accept_thread_;
 };
 
 const std::string* label_of(const tart::obs::Sample& s, const char* key) {
@@ -555,20 +593,13 @@ int run_top_mode(const std::vector<std::string>& addrs, bool once,
     std::vector<std::pair<std::string, NodeProfile>> nodes;
     std::vector<std::string> down;
     for (const std::string& addr : addrs) {
-      auto client =
-          tart::net::ControlClient::connect(addr, std::chrono::seconds(2));
-      if (!client) {
+      auto report = poll_node(addr);
+      if (!report) {
         down.push_back(addr);
         continue;
       }
-      try {
-        auto samples = client->obs_samples();
-        nodes.emplace_back(addr, node_profile(samples));
-        per_node.push_back(std::move(samples));
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "tart-obs: %s: %s\n", addr.c_str(), e.what());
-        down.push_back(addr);
-      }
+      nodes.emplace_back(addr, node_profile(report->samples));
+      per_node.push_back(std::move(report->samples));
     }
     if (!down.empty()) any_down = true;
 
@@ -586,7 +617,7 @@ int run_top_mode(const std::vector<std::string>& addrs, bool once,
   return strict && any_down ? 1 : 0;
 }
 
-int run_control_mode(const std::vector<std::string>& addrs, bool once,
+int run_console_mode(const std::vector<std::string>& addrs, bool once,
                      int interval_ms, const std::string& series_path,
                      bool strict, PushServer* push) {
   std::FILE* series = nullptr;
@@ -609,22 +640,22 @@ int run_control_mode(const std::vector<std::string>& addrs, bool once,
     std::vector<std::pair<std::string, StatusReport>> reports;
     std::vector<std::string> down;
     std::size_t reachable = 0;
+    // Each node is labelled by its partition name (its address when it
+    // reports none, e.g. a single-process tart-gateway).
+    const auto add = [&](NodeReport report, const std::string& addr) {
+      total += report.metrics;
+      per_node.push_back(std::move(report.samples));
+      reports.emplace_back(report.node.empty() ? addr : report.node,
+                           std::move(report.status));
+    };
     for (const std::string& addr : addrs) {
-      auto client =
-          tart::net::ControlClient::connect(addr, std::chrono::seconds(2));
-      if (!client) {
+      auto report = poll_node(addr);
+      if (!report) {
         down.push_back(addr);
         continue;
       }
-      try {
-        total += client->metrics();
-        per_node.push_back(client->obs_samples());
-        reports.emplace_back(addr, client->status());
-        ++reachable;
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "tart-obs: %s: %s\n", addr.c_str(), e.what());
-        down.push_back(addr);
-      }
+      add(std::move(*report), addr);
+      ++reachable;
     }
     if (!down.empty()) any_down = true;
 
@@ -635,8 +666,7 @@ int run_control_mode(const std::vector<std::string>& addrs, bool once,
       const auto max_age = std::chrono::milliseconds(
           std::max(3 * interval_ms, 5000));
       for (auto& [node, shipment] : push->fresh(max_age)) {
-        total += shipment.metrics;
-        per_node.push_back(std::move(shipment.samples));
+        add(std::move(shipment.report), node);
         ++pushed;
       }
     }
@@ -789,12 +819,12 @@ int main(int argc, char** argv) {
   if (scrape) return run_scrape_mode(addrs);
   if (top) return run_top_mode(addrs, once, interval_ms, strict);
 
-  PushServer* push = nullptr;
+  std::optional<PushServer> push;
   if (!listen_spec.empty()) {
-    push = new PushServer();  // leaked deliberately: detached accept thread
+    push.emplace();
     if (!push->start(listen_spec)) return 1;
     std::printf("tart-obs: accepting pushes on :%u\n", push->port());
   }
-  return run_control_mode(addrs, once, interval_ms, series_path, strict,
-                          push);
+  return run_console_mode(addrs, once, interval_ms, series_path, strict,
+                          push ? &*push : nullptr);
 }

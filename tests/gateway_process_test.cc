@@ -2,109 +2,28 @@
 // promises, checked against forked tart-node / tart-gateway binaries.
 //
 //   1. Placement transparency through the HTTP face: a two-node wordcount
-//      deployment driven ONLY over HTTP (inject, drain, fetch outputs)
-//      produces byte-for-byte the single-process in-process baseline —
-//      including after SIGKILL-ing the ingress node mid-run and cold
-//      restarting it over the same log directory (§II.F).
+//      deployment driven ONLY over HTTP (inject, drain, fetch outputs, the
+//      Prometheus /metrics text) produces byte-for-byte the single-process
+//      in-process baseline — including after SIGKILL-ing the ingress node
+//      mid-run and cold restarting it over the same log directory (§II.F).
 //   2. Log-before-ack under a crash DURING ingest: concurrent clients blast
 //      unique tokens at a tart-gateway while it is SIGKILLed mid-load.
 //      After restart + replay, every acked token is present exactly once
 //      and every un-acked token is absent or present once — never
 //      duplicated, because the ack is issued only after the fsync.
 #include <gtest/gtest.h>
-#include <signal.h>
 #include <sys/stat.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <atomic>
-#include <chrono>
-#include <cstdlib>
-#include <fstream>
-#include <map>
 #include <mutex>
-#include <sstream>
-#include <string>
-#include <thread>
-#include <vector>
 
-#include "apps/wordcount.h"
-#include "core/runtime.h"
-#include "gateway/http_client.h"
-#include "net/socket.h"
-#include "net/topologies.h"
+#include "process_fixture.h"
 
 using namespace tart;
-using namespace std::chrono_literals;
+using namespace tart::proc;
 using gateway::BlockingHttpClient;
 
 namespace {
-
-std::uint16_t free_port() {
-  std::string err;
-  net::Fd fd = net::listen_tcp(*net::SockAddr::parse("127.0.0.1:0"), &err);
-  EXPECT_TRUE(fd.valid()) << err;
-  return net::local_port(fd.get());
-}
-
-std::string make_temp_dir() {
-  char tmpl[] = "/tmp/tart_gw_XXXXXX";
-  const char* dir = mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << content;
-}
-
-/// One forked child running `binary args...`. SIGKILLs on destruction
-/// unless reaped first.
-class Proc {
- public:
-  Proc(const char* binary, std::vector<std::string> args) {
-    args.insert(args.begin(), binary);
-    pid_ = fork();
-    if (pid_ == 0) {
-      std::vector<char*> argv;
-      argv.reserve(args.size() + 1);
-      for (auto& a : args) argv.push_back(a.data());
-      argv.push_back(nullptr);
-      execv(binary, argv.data());
-      _exit(127);
-    }
-  }
-
-  ~Proc() {
-    if (pid_ > 0) {
-      ::kill(pid_, SIGKILL);
-      (void)reap();
-    }
-  }
-
-  void kill9() const { ASSERT_EQ(::kill(pid_, SIGKILL), 0); }
-
-  int reap() {
-    if (pid_ <= 0) return -1;
-    int status = 0;
-    waitpid(pid_, &status, 0);
-    pid_ = -1;
-    return status;
-  }
-
- private:
-  pid_t pid_ = -1;
-};
-
-BlockingHttpClient http_or_die(const std::string& addr) {
-  auto client = BlockingHttpClient::connect(addr, 15s);
-  if (!client) {
-    ADD_FAILURE() << "http connect to " << addr << " timed out";
-    std::abort();
-  }
-  return std::move(*client);
-}
 
 /// Sums every sample of a Prometheus family in a /metrics body — labelled
 /// ("tart_<name>{component=\"x\"} 3") and unlabelled ("tart_<name> 3")
@@ -126,158 +45,39 @@ std::uint64_t metric(const std::string& body, const std::string& name) {
   return total;
 }
 
-struct OutputLine {
-  std::int64_t vt;
-  bool stutter;
-  std::string payload;
-  bool operator==(const OutputLine&) const = default;
-};
-
-/// Parses a GET /outputs body: one "vt\tstutter\torigin\tpayload" line per
-/// record. The origin column (the originating ingest's WIRE:SEQ lineage
-/// tag, "-" when unstamped) must be well-formed but is dropped from the
-/// comparison value: origins name gateway log positions, which differ
-/// between a live run and its recovery replay while vt/payload must not.
-std::vector<OutputLine> parse_outputs(const std::string& body) {
-  std::vector<OutputLine> lines;
-  std::istringstream in(body);
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto t1 = line.find('\t');
-    const auto t2 = line.find('\t', t1 + 1);
-    const auto t3 = line.find('\t', t2 + 1);
-    EXPECT_NE(t1, std::string::npos) << line;
-    EXPECT_NE(t2, std::string::npos) << line;
-    EXPECT_NE(t3, std::string::npos) << line;
-    const std::string origin = line.substr(t2 + 1, t3 - t2 - 1);
-    EXPECT_TRUE(origin == "-" || origin.find(':') != std::string::npos)
-        << line;
-    lines.push_back({std::stoll(line.substr(0, t1)),
-                     line.substr(t1 + 1, t2 - t1 - 1) == "1",
-                     line.substr(t3 + 1)});
-  }
-  return lines;
+std::uint64_t metric(NodeClient& http, const std::string& name) {
+  const auto resp = http.get("/metrics");
+  EXPECT_EQ(resp.status, 200);
+  return metric(resp.body, name);
 }
 
-std::vector<OutputLine> fresh_only(std::vector<OutputLine> lines) {
-  std::erase_if(lines, [](const OutputLine& l) { return l.stutter; });
-  return lines;
-}
-
-// --- 1: HTTP-only wordcount vs in-process baseline ---------------------------
-
-struct Step {
-  std::string input;
-  std::int64_t vt;
-  std::vector<std::string> words;
-};
-
-std::vector<Step> make_script(int n) {
-  const std::vector<std::string> vocab = {"gateway", "ingest", "durable",
-                                          "ack",     "commit", "replay"};
-  std::vector<Step> steps;
-  for (int i = 0; i < n; ++i) {
-    Step s;
-    s.input = (i % 2 == 0) ? "sender1" : "sender2";
-    s.vt = 1000 * (i + 1);
-    const int len = (i % 4) + 1;
-    for (int w = 0; w < len; ++w)
-      s.words.push_back(vocab[static_cast<std::size_t>((i + w) % 6)]);
-    steps.push_back(std::move(s));
-  }
-  return steps;
-}
-
-std::string body_of(const Step& s) {
-  std::string body;
-  for (const auto& w : s.words) {
-    if (!body.empty()) body += ' ';
-    body += w;
-  }
-  return body;
-}
-
-/// Single-process ground truth, rendered the way the gateway renders it.
-std::vector<OutputLine> baseline(const std::vector<Step>& steps) {
-  auto built = net::build_topology("wordcount", {{"senders", "2"}});
-  std::map<ComponentId, EngineId> placement;
-  for (const auto& [name, id] : built.components) placement[id] = EngineId(0);
-  core::Runtime rt(built.topology, placement, core::RuntimeConfig{});
-  rt.start();
-  for (const auto& s : steps)
-    rt.inject_at(built.inputs.at(s.input), VirtualTime(s.vt),
-                 apps::sentence(s.words));
-  EXPECT_TRUE(rt.drain());
-  std::vector<OutputLine> out;
-  for (const auto& rec : rt.output_records(built.outputs.at("total")))
-    if (!rec.stutter)
-      out.push_back(
-          {rec.vt.ticks(), false, std::to_string(rec.payload.as_int())});
-  rt.stop();
-  return out;
-}
-
-struct HttpDeployment {
-  std::string config_path;
-  std::string left_http;
-  std::string right_http;
-};
-
-HttpDeployment write_deployment(const std::string& dir) {
-  const auto p = [] { return std::to_string(free_port()); };
-  HttpDeployment d;
-  d.left_http = "127.0.0.1:" + p();
-  d.right_http = "127.0.0.1:" + p();
-  d.config_path = dir + "/deploy.conf";
-  write_file(d.config_path,
-             "topology = wordcount\n"
-             "param senders = 2\n"
-             "partition left = 127.0.0.1:" + p() +
-             "\ncontrol left = 127.0.0.1:" + p() +
-             "\npartition right = 127.0.0.1:" + p() +
-             "\ncontrol right = 127.0.0.1:" + p() +
-             "\nplace sender1 = left\n"
-             "place sender2 = left\n"
-             "place merger = right\n");
-  return d;
-}
-
-std::vector<std::string> node_args(const HttpDeployment& d,
-                                   const std::string& partition,
-                                   const std::string& log_dir) {
-  std::vector<std::string> args = {d.config_path, partition};
-  args.push_back("--http=" +
-                 (partition == "left" ? d.left_http : d.right_http));
-  if (!log_dir.empty()) args.push_back("--log-dir=" + log_dir);
-  return args;
-}
-
-void inject_over_http(BlockingHttpClient& http, const Step& s) {
-  const auto resp =
-      http.post("/inject/" + s.input + "?vt=" + std::to_string(s.vt),
-                body_of(s), "text/plain");
-  ASSERT_EQ(resp.status, 200) << resp.body;
-  EXPECT_EQ(resp.body, "vt=" + std::to_string(s.vt) + "\n");
+Deployment write_two_node(const std::string& dir) {
+  return write_deployment(dir, {"left", "right"},
+                          "place sender1 = left\n"
+                          "place sender2 = left\n"
+                          "place merger = right\n");
 }
 
 }  // namespace
 
+// --- 1: HTTP-only wordcount vs in-process baseline ---------------------------
+
 TEST(GatewayProcessTest, HttpOnlyWordcountMatchesBaselineAndSurvivesSigkill) {
   const auto steps = make_script(60);
-  const std::vector<OutputLine> expected = baseline(steps);
+  const OutputStream expected = baseline(steps);
   ASSERT_FALSE(expected.empty());
   const std::string dir = make_temp_dir();
 
   // --- Run 1: clean two-node run, driven entirely over HTTP ----------------
-  std::vector<OutputLine> clean_out;
+  OutputStream clean_out;
   {
-    const HttpDeployment d = write_deployment(dir);
+    const Deployment d = write_two_node(dir);
     ASSERT_EQ(mkdir((dir + "/clean_left").c_str(), 0755), 0);
-    Proc left(TART_NODE_BIN, node_args(d, "left", dir + "/clean_left"));
-    Proc right(TART_NODE_BIN, node_args(d, "right", ""));
+    NodeProc left(d, "left", {"--log-dir=" + dir + "/clean_left"});
+    NodeProc right(d, "right");
 
-    auto left_http = http_or_die(d.left_http);
-    auto right_http = http_or_die(d.right_http);
+    auto left_http = connect(d, "left");
+    auto right_http = connect(d, "right");
     EXPECT_EQ(left_http.get("/healthz").status, 200);
     EXPECT_EQ(right_http.get("/healthz").status, 200);
     // The gateway serves only its partition's adaptable wires.
@@ -285,21 +85,20 @@ TEST(GatewayProcessTest, HttpOnlyWordcountMatchesBaselineAndSurvivesSigkill) {
     EXPECT_EQ(right_http.post("/inject/sender1", "x", "text/plain").status,
               404);
 
-    for (const auto& s : steps) inject_over_http(left_http, s);
-    ASSERT_EQ(left_http.post("/drain", "").status, 200);
-    ASSERT_EQ(right_http.post("/drain", "").status, 200);
-    clean_out = fresh_only(
-        parse_outputs(right_http.get("/outputs/total?max=1000000").body));
+    for (const auto& s : steps) left_http.inject(s);
+    ASSERT_TRUE(left_http.drain()) << "left never quiesced";
+    ASSERT_TRUE(right_http.drain()) << "right never quiesced";
+    clean_out = right_http.totals();
 
-    // Durability and transport demonstrably happened.
-    const auto lm = left_http.get("/metrics").body;
-    EXPECT_EQ(metric(lm, "store_records_written_total"), steps.size());
-    EXPECT_GT(metric(lm, "store_flushes_total"), 0u);
-    EXPECT_EQ(metric(lm, "gw_acked_total"), steps.size());
-    EXPECT_GT(metric(lm, "net_frames_out_total"), 0u);
+    // Durability and transport demonstrably happened, as the Prometheus
+    // exposition reports them.
+    EXPECT_EQ(metric(left_http, "store_records_written_total"), steps.size());
+    EXPECT_GT(metric(left_http, "store_flushes_total"), 0u);
+    EXPECT_EQ(metric(left_http, "gw_acked_total"), steps.size());
+    EXPECT_GT(metric(left_http, "net_frames_out_total"), 0u);
 
-    EXPECT_EQ(left_http.post("/shutdown", "").status, 200);
-    EXPECT_EQ(right_http.post("/shutdown", "").status, 200);
+    left_http.shutdown_node();
+    right_http.shutdown_node();
     EXPECT_EQ(left.reap(), 0);
     EXPECT_EQ(right.reap(), 0);
   }
@@ -307,46 +106,43 @@ TEST(GatewayProcessTest, HttpOnlyWordcountMatchesBaselineAndSurvivesSigkill) {
       << "HTTP-driven two-node run diverged from the in-process baseline";
 
   // --- Run 2: SIGKILL the ingress node mid-run, restart from its log ------
-  std::vector<OutputLine> kill_out;
+  OutputStream kill_out;
   {
-    const HttpDeployment d = write_deployment(dir);
+    const Deployment d = write_two_node(dir);
     const std::string log_dir = dir + "/kill_left";
     ASSERT_EQ(mkdir(log_dir.c_str(), 0755), 0);
-    Proc right(TART_NODE_BIN, node_args(d, "right", ""));
-    auto right_http = http_or_die(d.right_http);
+    NodeProc right(d, "right");
+    auto right_http = connect(d, "right");
     const std::size_t half = steps.size() / 2;
 
     {
-      Proc left(TART_NODE_BIN, node_args(d, "left", log_dir));
-      auto left_http = http_or_die(d.left_http);
-      for (std::size_t i = 0; i < half; ++i)
-        inject_over_http(left_http, steps[i]);
+      NodeProc left(d, "left", {"--log-dir=" + log_dir});
+      auto left_http = connect(d, "left");
+      for (std::size_t i = 0; i < half; ++i) left_http.inject(steps[i]);
       // Every first-half request was ACKED over HTTP, so each one is
       // durable: the restart below MUST reproduce all of them. Let the
       // merger see some of the stream first so replay produces duplicates
       // for it to discard, then pull the plug with no warning.
-      const auto deadline = std::chrono::steady_clock::now() + 10s;
-      while (metric(right_http.get("/metrics").body,
-                    "messages_processed_total") < half / 2) {
-        ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-            << "merger saw too little before the kill window";
-        std::this_thread::sleep_for(5ms);
-      }
+      std::uint64_t seen = 0;
+      ASSERT_TRUE(poll_until(10s, [&] {
+        return (seen = metric(right_http, "messages_processed_total")) >=
+               half / 2;
+      })) << "merger only processed " << seen << "/" << half
+          << " before the kill window";
       left.kill9();
       left.reap();
     }
 
-    Proc left(TART_NODE_BIN, node_args(d, "left", log_dir));
-    auto left_http = http_or_die(d.left_http);
+    NodeProc left(d, "left", {"--log-dir=" + log_dir});
+    auto left_http = connect(d, "left");
     for (std::size_t i = half; i < steps.size(); ++i)
-      inject_over_http(left_http, steps[i]);
-    ASSERT_EQ(left_http.post("/drain", "").status, 200);
-    ASSERT_EQ(right_http.post("/drain", "").status, 200);
-    kill_out = fresh_only(
-        parse_outputs(right_http.get("/outputs/total?max=1000000").body));
+      left_http.inject(steps[i]);
+    ASSERT_TRUE(left_http.drain()) << "restarted left never quiesced";
+    ASSERT_TRUE(right_http.drain()) << "right never quiesced after kill";
+    kill_out = right_http.totals();
 
-    EXPECT_EQ(left_http.post("/shutdown", "").status, 200);
-    EXPECT_EQ(right_http.post("/shutdown", "").status, 200);
+    left_http.shutdown_node();
+    right_http.shutdown_node();
     EXPECT_EQ(left.reap(), 0);
     EXPECT_EQ(right.reap(), 0);
   }
@@ -373,10 +169,7 @@ TEST(GatewayProcessTest, CrashDuringIngestKeepsAckedExactlyOnce) {
 
   {
     Proc gw(TART_GATEWAY_BIN, args);
-    {
-      auto probe = http_or_die(addr);
-      ASSERT_EQ(probe.get("/healthz").status, 200);
-    }
+    ASSERT_EQ(NodeClient::connect(addr).get("/healthz").status, 200);
 
     // Concurrent clients blast unique tokens until the server dies under
     // them. A request is "acked" only if its 200 was read off the socket.
@@ -409,17 +202,15 @@ TEST(GatewayProcessTest, CrashDuringIngestKeepsAckedExactlyOnce) {
 
     // Let a healthy chunk of load through, then SIGKILL with requests in
     // flight — this is the crash-during-ingest window the log-before-ack
-    // discipline exists for.
-    const auto deadline = std::chrono::steady_clock::now() + 15s;
-    while (ack_count.load() < 200) {
-      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-          << "only " << ack_count.load() << " acks before the kill window";
-      std::this_thread::sleep_for(1ms);
-    }
+    // discipline exists for. The clients are joined before any assertion
+    // can return from the test.
+    const bool loaded = poll_until(15s, [&] { return ack_count >= 200; });
     gw.kill9();
     gw.reap();
     stop.store(true);
     for (auto& c : clients) c.join();
+    ASSERT_TRUE(loaded) << "only " << ack_count.load()
+                        << " acks before the kill window";
   }
   ASSERT_GE(acked.size(), 200u);
   EXPECT_GT(sent.size(), acked.size())
@@ -427,10 +218,10 @@ TEST(GatewayProcessTest, CrashDuringIngestKeepsAckedExactlyOnce) {
 
   // Cold restart over the same log: replay everything, then read outputs.
   Proc gw(TART_GATEWAY_BIN, args);
-  auto http = http_or_die(addr);
-  ASSERT_EQ(http.post("/drain", "").status, 200);
-  const auto lines = fresh_only(
-      parse_outputs(http.get("/outputs/out?max=1000000").body));
+  auto http = NodeClient::connect(addr);
+  ASSERT_TRUE(http.drain());
+  std::vector<OutputRecord> lines = http.outputs("out");
+  std::erase_if(lines, [](const OutputRecord& l) { return l.stutter; });
 
   std::map<std::string, int> times_seen;
   for (const auto& l : lines) ++times_seen[l.payload];
@@ -452,6 +243,6 @@ TEST(GatewayProcessTest, CrashDuringIngestKeepsAckedExactlyOnce) {
   // store_records_written stays 0 — the proof of durability is the output
   // stream itself covering every ack.
   EXPECT_GE(lines.size(), acked.size());
-  EXPECT_EQ(http.post("/shutdown", "").status, 200);
+  http.shutdown_node();
   EXPECT_EQ(gw.reap(), 0);
 }

@@ -17,6 +17,7 @@
 #include "gateway/gateway.h"
 #include "gateway/http.h"
 #include "obs/exposition.h"
+#include "obs/node_report.h"
 #include "gateway/http_client.h"
 #include "net/topologies.h"
 
@@ -363,13 +364,14 @@ bool fresh_output_with_origin(const std::string& body,
 
 class GatewayTest : public ::testing::Test {
  protected:
-  void start(gateway::Gateway::Options options = {}) {
+  void start(gateway::Gateway::Options options = {},
+             gateway::Gateway::Host host = {}) {
     rt_ = std::make_unique<core::Runtime>(app_.built.topology, app_.placement,
                                           core::RuntimeConfig{});
     rt_->start();
-    gw_ = std::make_unique<gateway::Gateway>(rt_.get(), std::move(options),
-                                             app_.built.inputs,
-                                             app_.built.outputs);
+    gw_ = std::make_unique<gateway::Gateway>(
+        rt_.get(), std::move(options), app_.built.inputs, app_.built.outputs,
+        std::move(host));
     addr_ = "127.0.0.1:" + std::to_string(gw_->port());
   }
 
@@ -560,6 +562,46 @@ TEST_F(GatewayTest, StatusReportsSilenceWavefront) {
   EXPECT_NE(resp.body.find("\"components\":["), std::string::npos)
       << resp.body;
   EXPECT_NE(resp.body.find("\"inputs\":["), std::string::npos) << resp.body;
+}
+
+TEST_F(GatewayTest, ObsReportAgreesWithStatusAndMetrics) {
+  gateway::Gateway::Host host;
+  host.node = "n1";
+  host.status = [this] {
+    core::StatusReport report = rt_->status();
+    report.placement_epoch = 7;
+    report.placement.push_back({0, 0, 7});
+    return report;
+  };
+  start({}, std::move(host));
+  auto c = client();
+  ASSERT_EQ(c.post("/inject/in?vt=1000", "m", "text/plain").status, 200);
+
+  const auto resp = c.get("/obs");
+  ASSERT_EQ(resp.status, 200);
+  ASSERT_NE(resp.header("Content-Type"), nullptr);
+  EXPECT_EQ(*resp.header("Content-Type"), obs::kNodeReportContentType);
+  const obs::NodeReport report = obs::NodeReport::decode(resp.body);
+  EXPECT_EQ(report.node, "n1");
+  EXPECT_EQ(report.metrics.gw_acked, 1u);
+  EXPECT_EQ(report.status.placement_epoch, 7u);
+  ASSERT_EQ(report.status.placement.size(), 1u);
+  EXPECT_EQ(report.status.components.size(), 2u);
+  bool ack_histogram = false;
+  for (const auto& s : report.samples)
+    ack_histogram |= s.name == "tart_gw_ack_latency_seconds" && s.hist &&
+                     s.hist->count() == 1;
+  EXPECT_TRUE(ack_histogram) << "full histograms travel in GET /obs";
+
+  // GET /status renders the same (hooked) report.
+  const std::string status = c.get("/status").body;
+  EXPECT_NE(status.find("\"placement_epoch\":7"), std::string::npos)
+      << status;
+  EXPECT_NE(status.find("\"placement\":[{\"component\":0,\"engine\":0,"
+                        "\"epoch\":7}]"),
+            std::string::npos)
+      << status;
+  EXPECT_EQ(c.post("/obs", "").status, 405);
 }
 
 TEST_F(GatewayTest, ConcurrentClientsGroupCommitAndAllAck) {

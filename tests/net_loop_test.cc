@@ -259,12 +259,14 @@ TEST(ConnectionManagerTest, DialerReconnectsAfterPeerRestart) {
   ConnectionManager b2(bo2, sink_b2.frame_handler(), sink_b2.link_handler());
   ASSERT_TRUE(eventually([&] { return a.peer_up("b"); }))
       << "dialer never recovered after peer came (back) up";
-  EXPECT_GE(sink_a2.up_count(), 1);
+  // The link callback runs on the net thread just after peer_up() flips,
+  // so the sink may trail the flag by a moment.
+  EXPECT_TRUE(eventually([&] { return sink_a2.up_count() >= 1; }));
 
   // Kill and restart the acceptor: a must notice the drop and redial.
   b2.shutdown();
   ASSERT_TRUE(eventually([&] { return !a.peer_up("b"); }));
-  EXPECT_GE(sink_a2.down_count(), 1);
+  EXPECT_TRUE(eventually([&] { return sink_a2.down_count() >= 1; }));
 
   Sink sink_b3;
   ConnectionManager b3(bo2, sink_b3.frame_handler(), sink_b3.link_handler());

@@ -1,202 +1,43 @@
-// Two-process deployment soak: real tart-node processes over loopback TCP.
+// Two-process deployment soak: real tart-node processes over loopback TCP,
+// driven only through their HTTP gateways.
 //
 // The wordcount topology is split across two nodes — "left" hosts the
 // senders (and the external inputs), "right" hosts the merger (and the
-// external output). The test drives the deployment through the control
-// protocol and checks the paper's end-to-end claim for real processes:
+// external output). The tests check the paper's end-to-end claim for real
+// processes:
 //
 //   1. a clean two-process run produces exactly the single-process
-//      baseline's output stream (placement-transparency);
-//   2. SIGKILL-ing the left node mid-run and restarting it over the same
-//      log_dir recovers transparently: logged inputs replay, the surviving
-//      merger discards the duplicates by timestamp, and the final output
-//      stream is STILL byte-for-byte the baseline (§II.F);
+//      baseline's output stream (placement transparency), with each
+//      gateway serving only its own partition's wires;
+//   2. freezing the left node trips heartbeat detection, and SIGKILL-ing it
+//      mid-run then restarting it over the same log_dir recovers
+//      transparently: logged inputs replay, the surviving merger discards
+//      the duplicates by timestamp, and the final output stream is STILL
+//      byte-for-byte the baseline (§II.F);
 //   3. the surviving node's flight-recorder traces from the clean and the
 //      killed run are recovery-equivalent (tart-trace diff --recovery);
-//   4. the socket-transport counters surface in MetricsSnapshot: frames
-//      and bytes flow in the clean run, reconnects after the kill.
+//   4. durability, transport and telemetry counters surface in GET /obs;
+//   5. the same holds through a durable checkpoint and tiered restart;
+//   6. `tart-node --push` ships the GET /obs report as POST /obs.
 #include <gtest/gtest.h>
-#include <signal.h>
+#include <poll.h>
 #include <sys/stat.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
-#include <chrono>
-#include <cstdlib>
-#include <fstream>
-#include <string>
-#include <thread>
-#include <vector>
+#include <optional>
 
-#include "core/runtime.h"
-#include "apps/wordcount.h"
-#include "net/control.h"
-#include "net/socket.h"
-#include "net/topologies.h"
+#include "gateway/http.h"
+#include "process_fixture.h"
 
 using namespace tart;
-using namespace std::chrono_literals;
+using namespace tart::proc;
 
 namespace {
 
-// --- deterministic injection script -----------------------------------------
-
-struct Step {
-  std::string input;  ///< "sender1" / "sender2"
-  std::int64_t vt;
-  std::vector<std::string> words;
-};
-
-std::vector<Step> make_script(int n) {
-  const std::vector<std::string> vocab = {"stream", "replay", "virtual",
-                                          "time",   "socket", "engine"};
-  std::vector<Step> steps;
-  for (int i = 0; i < n; ++i) {
-    Step s;
-    s.input = (i % 2 == 0) ? "sender1" : "sender2";
-    s.vt = 1000 * (i + 1);
-    const int len = (i % 4) + 1;
-    for (int w = 0; w < len; ++w)
-      s.words.push_back(vocab[static_cast<std::size_t>((i + w) % 6)]);
-    steps.push_back(std::move(s));
-  }
-  return steps;
-}
-
-using OutputStream = std::vector<std::pair<std::int64_t, std::int64_t>>;
-
-/// Single-process ground truth over the identical topology + script.
-OutputStream baseline(const std::vector<Step>& steps) {
-  auto built = net::build_topology("wordcount", {{"senders", "2"}});
-  std::map<ComponentId, EngineId> placement;
-  for (const auto& [name, id] : built.components) placement[id] = EngineId(0);
-  core::Runtime rt(built.topology, placement, core::RuntimeConfig{});
-  rt.start();
-  for (const auto& s : steps)
-    rt.inject_at(built.inputs.at(s.input), VirtualTime(s.vt),
-                 apps::sentence(s.words));
-  EXPECT_TRUE(rt.drain());
-  OutputStream out;
-  for (const auto& rec : rt.output_records(built.outputs.at("total")))
-    if (!rec.stutter) out.emplace_back(rec.vt.ticks(), rec.payload.as_int());
-  rt.stop();
-  return out;
-}
-
-// --- process plumbing -------------------------------------------------------
-
-std::uint16_t free_port() {
-  std::string err;
-  net::Fd fd = net::listen_tcp(*net::SockAddr::parse("127.0.0.1:0"), &err);
-  EXPECT_TRUE(fd.valid()) << err;
-  return net::local_port(fd.get());
-}
-
-std::string make_temp_dir() {
-  char tmpl[] = "/tmp/tart_net_XXXXXX";
-  const char* dir = mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << content;
-}
-
-struct Deployment {
-  std::string config_path;
-  std::string left_control;
-  std::string right_control;
-};
-
-Deployment write_deployment(const std::string& dir) {
-  const auto p = [] { return std::to_string(free_port()); };
-  Deployment d;
-  d.left_control = "127.0.0.1:" + p();
-  d.right_control = "127.0.0.1:" + p();
-  d.config_path = dir + "/deploy.conf";
-  write_file(d.config_path,
-             "# two-node wordcount split\n"
-             "topology = wordcount\n"
-             "param senders = 2\n"
-             "partition left = 127.0.0.1:" + p() + "\n"
-             "control left = " + d.left_control + "\n"
-             "partition right = 127.0.0.1:" + p() + "\n"
-             "control right = " + d.right_control + "\n"
-             "place sender1 = left\n"
-             "place sender2 = left\n"
-             "place merger = right\n");
-  return d;
-}
-
-/// One tart-node child process. SIGKILLs on destruction unless reaped.
-class NodeProc {
- public:
-  NodeProc(const std::string& config, const std::string& partition,
-           const std::vector<std::string>& extra) {
-    std::vector<std::string> args = {TART_NODE_BIN, config, partition};
-    args.insert(args.end(), extra.begin(), extra.end());
-    pid_ = fork();
-    if (pid_ == 0) {
-      std::vector<char*> argv;
-      argv.reserve(args.size() + 1);
-      for (auto& a : args) argv.push_back(a.data());
-      argv.push_back(nullptr);
-      execv(TART_NODE_BIN, argv.data());
-      _exit(127);
-    }
-  }
-
-  ~NodeProc() {
-    if (pid_ > 0) {
-      ::kill(pid_, SIGKILL);
-      (void)reap();
-    }
-  }
-
-  void kill9() const { ASSERT_EQ(::kill(pid_, SIGKILL), 0); }
-
-  int reap() {
-    if (pid_ <= 0) return -1;
-    int status = 0;
-    waitpid(pid_, &status, 0);
-    pid_ = -1;
-    return status;
-  }
-
-  [[nodiscard]] pid_t pid() const { return pid_; }
-
- private:
-  pid_t pid_ = -1;
-};
-
-net::ControlClient connect_or_die(const std::string& addr) {
-  auto client = net::ControlClient::connect(addr, 15s);
-  if (!client) {
-    ADD_FAILURE() << "control connect to " << addr << " timed out";
-    std::abort();
-  }
-  return std::move(*client);
-}
-
-OutputStream fetch_outputs(net::ControlClient& client) {
-  OutputStream out;
-  for (const auto& rec : client.outputs("total"))
-    if (!rec.stutter) out.emplace_back(rec.vt, rec.payload.as_int());
-  return out;
-}
-
-int run_trace_diff(const std::string& a, const std::string& b) {
-  const pid_t pid = fork();
-  if (pid == 0) {
-    execl(TART_TRACE_BIN, TART_TRACE_BIN, "diff", a.c_str(), b.c_str(),
-          "--recovery", static_cast<char*>(nullptr));
-    _exit(127);
-  }
-  int status = 0;
-  waitpid(pid, &status, 0);
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+Deployment write_two_node(const std::string& dir) {
+  return write_deployment(dir, {"left", "right"},
+                          "place sender1 = left\n"
+                          "place sender2 = left\n"
+                          "place merger = right\n");
 }
 
 }  // namespace
@@ -213,36 +54,40 @@ TEST(NetProcessTest, TwoProcessRunMatchesBaselineAndSurvivesSigkill) {
   // --- Run 1: clean two-process run --------------------------------------
   OutputStream clean_out;
   {
-    const Deployment d = write_deployment(dir);
+    const Deployment d = write_two_node(dir);
     ASSERT_EQ(mkdir((dir + "/clean_left").c_str(), 0755), 0);
-    NodeProc left(d.config_path, "left", {"--log-dir=" + dir + "/clean_left"});
-    NodeProc right(d.config_path, "right",
-                   {"--trace=" + right_clean_trace});
+    NodeProc left(d, "left", {"--log-dir=" + dir + "/clean_left"});
+    NodeProc right(d, "right", {"--trace=" + right_clean_trace});
 
-    auto left_ctl = connect_or_die(d.left_control);
-    auto right_ctl = connect_or_die(d.right_control);
-    left_ctl.ping();
-    right_ctl.ping();
+    auto left_http = connect(d, "left");
+    auto right_http = connect(d, "right");
+    EXPECT_EQ(left_http.get("/healthz").status, 200);
+    EXPECT_EQ(right_http.get("/healthz").status, 200);
+    // Each gateway serves only its partition's adaptable wires.
+    EXPECT_EQ(left_http.get("/outputs/total").status, 404);
+    EXPECT_EQ(right_http.post("/inject/sender1", "x", "text/plain").status,
+              404);
 
-    for (const auto& s : steps)
-      EXPECT_EQ(left_ctl.inject(s.input, s.vt, apps::sentence(s.words)),
-                s.vt);
-    ASSERT_TRUE(left_ctl.drain(30s)) << "left never quiesced";
-    ASSERT_TRUE(right_ctl.drain(30s)) << "right never quiesced";
-    clean_out = fetch_outputs(right_ctl);
+    for (const auto& s : steps) left_http.inject(s);
+    ASSERT_TRUE(left_http.drain()) << "left never quiesced";
+    ASSERT_TRUE(right_http.drain()) << "right never quiesced";
+    clean_out = right_http.totals();
 
-    // Socket transport demonstrably carried the stream.
-    const auto lm = left_ctl.metrics();
-    const auto rm = right_ctl.metrics();
+    // Durability and the socket transport demonstrably carried the stream.
+    const auto lm = left_http.metrics();
+    const auto rm = right_http.metrics();
+    EXPECT_EQ(lm.store_records_written, steps.size());
+    EXPECT_GT(lm.store_flushes, 0u);
+    EXPECT_EQ(lm.gw_acked, steps.size());
     EXPECT_GT(lm.net_frames_out, 0u);
     EXPECT_GT(lm.net_bytes_out, 0u);
     EXPECT_GT(rm.net_frames_in, 0u);
     EXPECT_GT(rm.net_bytes_in, 0u);
     EXPECT_EQ(rm.messages_processed, steps.size());
 
-    // Telemetry over control: the merger node reports its registry samples
+    // Telemetry over GET /obs: the merger node reports its registry samples
     // (per-component labelled counters) and its silence wavefront.
-    const auto samples = right_ctl.obs_samples();
+    const auto samples = right_http.obs_samples();
     bool merger_counter_seen = false;
     for (const auto& s : samples) {
       if (s.name != "tart_messages_processed_total") continue;
@@ -253,9 +98,9 @@ TEST(NetProcessTest, TwoProcessRunMatchesBaselineAndSurvivesSigkill) {
         }
     }
     EXPECT_TRUE(merger_counter_seen)
-        << "no labelled merger counter in the obs dump";
+        << "no labelled merger counter in the obs report";
 
-    const auto status = right_ctl.status();
+    const auto status = right_http.status();
     ASSERT_EQ(status.components.size(), 1u);  // only the merger is local
     EXPECT_EQ(status.components[0].name, "merger");
     EXPECT_FALSE(status.components[0].crashed);
@@ -265,8 +110,8 @@ TEST(NetProcessTest, TwoProcessRunMatchesBaselineAndSurvivesSigkill) {
     for (const auto& w : status.components[0].inputs)
       EXPECT_FALSE(w.blocking);
 
-    left_ctl.shutdown_node();
-    right_ctl.shutdown_node();
+    left_http.shutdown_node();
+    right_http.shutdown_node();
     EXPECT_EQ(left.reap(), 0);
     EXPECT_EQ(right.reap(), 0);
   }
@@ -276,20 +121,19 @@ TEST(NetProcessTest, TwoProcessRunMatchesBaselineAndSurvivesSigkill) {
   // --- Run 2: SIGKILL left mid-run, restart from its log ------------------
   OutputStream kill_out;
   {
-    const Deployment d = write_deployment(dir);
+    const Deployment d = write_two_node(dir);
     const std::string log_dir = dir + "/kill_left";
     ASSERT_EQ(mkdir(log_dir.c_str(), 0755), 0);
-    NodeProc right(d.config_path, "right", {"--trace=" + right_kill_trace});
-    auto right_ctl = connect_or_die(d.right_control);
+    NodeProc right(d, "right", {"--trace=" + right_kill_trace});
+    auto right_http = connect(d, "right");
     const std::size_t half = steps.size() / 2;
 
     {
-      NodeProc left(d.config_path, "left", {"--log-dir=" + log_dir});
-      auto left_ctl = connect_or_die(d.left_control);
-      for (std::size_t i = 0; i < half; ++i)
-        EXPECT_EQ(left_ctl.inject(steps[i].input, steps[i].vt,
-                                  apps::sentence(steps[i].words)),
-                  steps[i].vt);
+      NodeProc left(d, "left", {"--log-dir=" + log_dir});
+      auto left_http = connect(d, "left");
+      // Every first-half request is ACKED, so each one is durable: the
+      // restart below MUST reproduce all of them.
+      for (std::size_t i = 0; i < half; ++i) left_http.inject(steps[i]);
       // Let the first half mostly reach the merger — otherwise the kill
       // can land before a single frame flushes and the replay produces no
       // duplicates to discard. "Mostly": the merger's dispatch frontier
@@ -297,43 +141,35 @@ TEST(NetProcessTest, TwoProcessRunMatchesBaselineAndSurvivesSigkill) {
       // covers it on BOTH sender wires), so the tail stays pending until
       // the post-restart drain. No drain here: the senders' own state (seq
       // counters, retention) is still volatile when the power goes out.
-      const auto deadline = std::chrono::steady_clock::now() + 10s;
       std::uint64_t seen = 0;
-      while ((seen = right_ctl.metrics().messages_processed) < half / 2) {
-        ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-            << "merger only processed " << seen << "/" << half
-            << " before the kill window";
-        std::this_thread::sleep_for(5ms);
-      }
+      ASSERT_TRUE(poll_until(10s, [&] {
+        return (seen = right_http.metrics().messages_processed) >= half / 2;
+      })) << "merger only processed " << seen << "/" << half
+          << " before the kill window";
       // Freeze the process before killing it. A SIGKILLed process's kernel
       // sends FIN (the peer sees EOF), but a frozen one keeps its socket
       // open and just goes silent — which is what heartbeat detection is
       // for. The right node must declare the link down by misses alone.
-      ASSERT_EQ(::kill(left.pid(), SIGSTOP), 0);
-      const auto hb_deadline = std::chrono::steady_clock::now() + 20s;
-      while (right_ctl.metrics().net_heartbeat_misses == 0) {
-        ASSERT_LT(std::chrono::steady_clock::now(), hb_deadline)
-            << "right never noticed the frozen peer";
-        std::this_thread::sleep_for(20ms);
-      }
+      left.freeze();
+      ASSERT_TRUE(poll_until(20s, [&] {
+        return right_http.metrics().net_heartbeat_misses > 0;
+      })) << "right never noticed the frozen peer";
       left.kill9();
       left.reap();
     }
 
     // Cold restart over the same stable storage: the node replays its
     // logged inputs; the surviving merger discards the duplicates.
-    NodeProc left(d.config_path, "left", {"--log-dir=" + log_dir});
-    auto left_ctl = connect_or_die(d.left_control);
+    NodeProc left(d, "left", {"--log-dir=" + log_dir});
+    auto left_http = connect(d, "left");
     for (std::size_t i = half; i < steps.size(); ++i)
-      EXPECT_EQ(left_ctl.inject(steps[i].input, steps[i].vt,
-                                apps::sentence(steps[i].words)),
-                steps[i].vt);
-    ASSERT_TRUE(left_ctl.drain(30s)) << "restarted left never quiesced";
-    ASSERT_TRUE(right_ctl.drain(30s)) << "right never quiesced after kill";
-    kill_out = fetch_outputs(right_ctl);
+      left_http.inject(steps[i]);
+    ASSERT_TRUE(left_http.drain()) << "restarted left never quiesced";
+    ASSERT_TRUE(right_http.drain()) << "right never quiesced after kill";
+    kill_out = right_http.totals();
 
-    const auto lm = left_ctl.metrics();
-    const auto rm = right_ctl.metrics();
+    const auto lm = left_http.metrics();
+    const auto rm = right_http.metrics();
     EXPECT_GE(rm.net_reconnects, 1u)
         << "right must have re-accepted the restarted left";
     EXPECT_GT(rm.net_heartbeat_misses, 0u);
@@ -348,8 +184,8 @@ TEST(NetProcessTest, TwoProcessRunMatchesBaselineAndSurvivesSigkill) {
            "or refused frames";
     EXPECT_EQ(rm.messages_processed, steps.size());
 
-    left_ctl.shutdown_node();
-    right_ctl.shutdown_node();
+    left_http.shutdown_node();
+    right_http.shutdown_node();
     EXPECT_EQ(left.reap(), 0);
     EXPECT_EQ(right.reap(), 0);
   }
@@ -380,20 +216,18 @@ TEST(NetProcessTest, DurableCheckpointRestartMatchesBaseline) {
   // --- Reference: clean two-process run ------------------------------------
   OutputStream clean_out;
   {
-    const Deployment d = write_deployment(dir);
+    const Deployment d = write_two_node(dir);
     ASSERT_EQ(mkdir((dir + "/clean_left").c_str(), 0755), 0);
-    NodeProc left(d.config_path, "left", {"--log-dir=" + dir + "/clean_left"});
-    NodeProc right(d.config_path, "right", {"--trace=" + right_clean_trace});
-    auto left_ctl = connect_or_die(d.left_control);
-    auto right_ctl = connect_or_die(d.right_control);
-    for (const auto& s : steps)
-      EXPECT_EQ(left_ctl.inject(s.input, s.vt, apps::sentence(s.words)),
-                s.vt);
-    ASSERT_TRUE(left_ctl.drain(30s));
-    ASSERT_TRUE(right_ctl.drain(30s));
-    clean_out = fetch_outputs(right_ctl);
-    left_ctl.shutdown_node();
-    right_ctl.shutdown_node();
+    NodeProc left(d, "left", {"--log-dir=" + dir + "/clean_left"});
+    NodeProc right(d, "right", {"--trace=" + right_clean_trace});
+    auto left_http = connect(d, "left");
+    auto right_http = connect(d, "right");
+    for (const auto& s : steps) left_http.inject(s);
+    ASSERT_TRUE(left_http.drain());
+    ASSERT_TRUE(right_http.drain());
+    clean_out = right_http.totals();
+    left_http.shutdown_node();
+    right_http.shutdown_node();
     EXPECT_EQ(left.reap(), 0);
     EXPECT_EQ(right.reap(), 0);
   }
@@ -402,34 +236,28 @@ TEST(NetProcessTest, DurableCheckpointRestartMatchesBaseline) {
   // --- Durable run: checkpoint, SIGKILL, tiered restart --------------------
   OutputStream ckpt_out;
   {
-    const Deployment d = write_deployment(dir);
+    const Deployment d = write_two_node(dir);
     const std::string log_dir = dir + "/ckpt_left";
     ASSERT_EQ(mkdir(log_dir.c_str(), 0755), 0);
     // Tiny segments so the mid-run checkpoint demonstrably reclaims
     // wholly-covered ones (log stays bounded, not just covered).
     const std::vector<std::string> durable_flags = {
         "--log-dir=" + log_dir, "--durable", "--segment-bytes=512"};
-    NodeProc right(d.config_path, "right", {"--trace=" + right_ckpt_trace});
-    auto right_ctl = connect_or_die(d.right_control);
+    NodeProc right(d, "right", {"--trace=" + right_ckpt_trace});
+    auto right_http = connect(d, "right");
     const std::size_t half = steps.size() / 2;
     const std::size_t kill_at = steps.size() * 3 / 4;
 
     {
-      NodeProc left(d.config_path, "left", durable_flags);
-      auto left_ctl = connect_or_die(d.left_control);
-      for (std::size_t i = 0; i < half; ++i)
-        EXPECT_EQ(left_ctl.inject(steps[i].input, steps[i].vt,
-                                  apps::sentence(steps[i].words)),
-                  steps[i].vt);
+      NodeProc left(d, "left", durable_flags);
+      auto left_http = connect(d, "left");
+      for (std::size_t i = 0; i < half; ++i) left_http.inject(steps[i]);
       // The senders consume their logged inputs almost immediately; wait
       // until they have, so the forced checkpoint covers the whole prefix.
-      const auto deadline = std::chrono::steady_clock::now() + 10s;
-      while (left_ctl.metrics().messages_processed < half) {
-        ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-            << "left never consumed the pre-checkpoint prefix";
-        std::this_thread::sleep_for(5ms);
-      }
-      const auto ck = left_ctl.checkpoint();
+      ASSERT_TRUE(poll_until(10s, [&] {
+        return left_http.metrics().messages_processed >= half;
+      })) << "left never consumed the pre-checkpoint prefix";
+      const auto ck = left_http.checkpoint();
       ASSERT_TRUE(ck.ok) << ck.error;
       EXPECT_EQ(ck.covered_records, half);
       EXPECT_GT(ck.bytes, 0u);
@@ -437,10 +265,7 @@ TEST(NetProcessTest, DurableCheckpointRestartMatchesBaseline) {
           << "gated compaction reclaimed nothing despite tiny segments";
 
       // A post-checkpoint suffix the restart will have to replay.
-      for (std::size_t i = half; i < kill_at; ++i)
-        EXPECT_EQ(left_ctl.inject(steps[i].input, steps[i].vt,
-                                  apps::sentence(steps[i].words)),
-                  steps[i].vt);
+      for (std::size_t i = half; i < kill_at; ++i) left_http.inject(steps[i]);
       // log-before-ack: every acked injection above is already durable, so
       // the kill can land immediately.
       left.kill9();
@@ -448,35 +273,30 @@ TEST(NetProcessTest, DurableCheckpointRestartMatchesBaseline) {
     }
 
     // Tiered restart over the same stable storage.
-    NodeProc left(d.config_path, "left", durable_flags);
-    auto left_ctl = connect_or_die(d.left_control);
-    const auto deadline = std::chrono::steady_clock::now() + 10s;
-    while (left_ctl.metrics().restart_covered_records == 0) {
-      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-          << "restarted left never reported a checkpoint-covered restart";
-      std::this_thread::sleep_for(5ms);
-    }
-    const auto lm = left_ctl.metrics();
+    NodeProc left(d, "left", durable_flags);
+    auto left_http = connect(d, "left");
+    ASSERT_TRUE(poll_until(10s, [&] {
+      return left_http.metrics().restart_covered_records != 0;
+    })) << "restarted left never reported a checkpoint-covered restart";
+    const auto lm = left_http.metrics();
     EXPECT_EQ(lm.restart_covered_records, half)
         << "restart should skip exactly the checkpoint-covered prefix";
     EXPECT_EQ(lm.restart_suffix_records, kill_at - half)
         << "restart should replay exactly the post-checkpoint suffix";
 
     for (std::size_t i = kill_at; i < steps.size(); ++i)
-      EXPECT_EQ(left_ctl.inject(steps[i].input, steps[i].vt,
-                                apps::sentence(steps[i].words)),
-                steps[i].vt);
-    ASSERT_TRUE(left_ctl.drain(30s)) << "restarted left never quiesced";
-    ASSERT_TRUE(right_ctl.drain(30s)) << "right never quiesced";
-    ckpt_out = fetch_outputs(right_ctl);
+      left_http.inject(steps[i]);
+    ASSERT_TRUE(left_http.drain()) << "restarted left never quiesced";
+    ASSERT_TRUE(right_http.drain()) << "right never quiesced";
+    ckpt_out = right_http.totals();
 
     // The restarted node checkpoints again: durability survives recovery.
-    const auto ck2 = left_ctl.checkpoint();
+    const auto ck2 = left_http.checkpoint();
     EXPECT_TRUE(ck2.ok) << ck2.error;
     EXPECT_EQ(ck2.covered_records, steps.size());
 
-    left_ctl.shutdown_node();
-    right_ctl.shutdown_node();
+    left_http.shutdown_node();
+    right_http.shutdown_node();
     EXPECT_EQ(left.reap(), 0);
     EXPECT_EQ(right.reap(), 0);
   }
@@ -486,4 +306,63 @@ TEST(NetProcessTest, DurableCheckpointRestartMatchesBaseline) {
   // The surviving merger cannot tell a tiered restart from a full replay.
   EXPECT_EQ(run_trace_diff(right_clean_trace, right_ckpt_trace), 0)
       << "tart-trace diff --recovery flagged divergence after tiered restart";
+}
+
+// Push-based remote write: a node started with --push POSTs its GET /obs
+// report to the collector address every interval. A minimal HTTP listener
+// stands in for `tart-obs --listen`.
+TEST(NetProcessTest, PushShipsObsReportOverHttp) {
+  // The collector binds first, so the deployment's ports cannot reuse it.
+  std::string err;
+  net::Fd listener =
+      net::listen_tcp(*net::SockAddr::parse("127.0.0.1:0"), &err);
+  ASSERT_TRUE(listener.valid()) << err;
+  const std::string collector =
+      "127.0.0.1:" + std::to_string(net::local_port(listener.get()));
+  const std::string dir = make_temp_dir();
+  const Deployment d =
+      write_deployment(dir, {"solo"},
+                       "place sender1 = solo\n"
+                       "place sender2 = solo\n"
+                       "place merger = solo\n");
+
+  NodeProc node(d, "solo", {"--push=" + collector + ",200"});
+  auto http = connect(d, "solo");
+  for (const auto& s : make_script(4)) http.inject(s);
+
+  // Serve pushes on one connection until a report carries the processed
+  // counter (the first pushes may precede the injections).
+  pollfd p{listener.get(), POLLIN, 0};
+  ASSERT_EQ(::poll(&p, 1, 10000), 1) << "the node never dialed the collector";
+  net::Fd conn = net::accept_tcp(listener.get());
+  ASSERT_TRUE(conn.valid());
+  gateway::HttpParser parser(gateway::HttpLimits{.max_body = 16u << 20});
+  std::optional<obs::NodeReport> report;
+  bool counter_seen = false;
+  const auto deadline = std::chrono::steady_clock::now() + 20s;
+  while (!counter_seen && std::chrono::steady_clock::now() < deadline) {
+    pollfd c{conn.get(), POLLIN, 0};
+    if (::poll(&c, 1, 200) <= 0) continue;
+    char buf[65536];
+    const ssize_t n = ::read(conn.get(), buf, sizeof(buf));
+    ASSERT_GT(n, 0) << "the node closed the push connection";
+    parser.feed(std::string_view(buf, static_cast<std::size_t>(n)));
+    while (auto req = parser.next()) {
+      EXPECT_EQ(req->method, "POST");
+      EXPECT_EQ(req->path, "/obs");
+      report = obs::NodeReport::decode(req->body);
+      for (const auto& s : report->samples)
+        counter_seen |= s.name == "tart_messages_processed_total";
+      const std::string resp = gateway::http_response(200, {}, "ok\n", true);
+      ASSERT_EQ(::write(conn.get(), resp.data(), resp.size()),
+                static_cast<ssize_t>(resp.size()));
+    }
+  }
+  ASSERT_TRUE(report.has_value()) << "no push arrived";
+  EXPECT_EQ(report->node, "solo");
+  EXPECT_TRUE(counter_seen)
+      << "no tart_messages_processed_total sample in the pushed report";
+
+  http.shutdown_node();
+  EXPECT_EQ(node.reap(), 0);
 }

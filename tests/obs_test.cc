@@ -11,6 +11,7 @@
 #include "core/metrics.h"
 #include "core/status.h"
 #include "obs/exposition.h"
+#include "obs/node_report.h"
 #include "obs/registry.h"
 #include "obs/sampler.h"
 #include "serde/archive.h"
@@ -390,6 +391,73 @@ TEST(StatusJson, RendersWavefront) {
   // JSON parser can hold.
   EXPECT_NE(json.find("\"horizon\":\"inf\""), std::string::npos) << json;
   EXPECT_EQ(json.find("9223372036854775807"), std::string::npos);
+}
+
+TEST(StatusJson, RendersPlacementAndMigrations) {
+  core::StatusReport report;
+  report.placement_epoch = 3;
+  report.placement.push_back({1, 2, 3});
+  report.migrations.push_back({4, 1, 0, 2, "delta"});
+  const std::string json = render_status_json(report);
+  EXPECT_NE(json.find("\"placement_epoch\":3,\"placement\":[{\"component\":1,"
+                      "\"engine\":2,\"epoch\":3}]"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"migrations\":[{\"epoch\":4,\"component\":1,"
+                      "\"from_engine\":0,\"to_engine\":2,"
+                      "\"stage\":\"delta\"}]"),
+            std::string::npos)
+      << json;
+}
+
+TEST(NodeReportCodec, RoundTripsEverySection) {
+  Registry reg;
+  reg.counter("tart_messages_processed_total", "help", {{"component", "m"}})
+      .inc(5);
+  reg.histogram("tart_pessimism_stall_seconds", "help", {}, 1e-3, 8)
+      .record(0.002);
+  NodeReport in;
+  in.node = "left";
+  in.metrics.messages_processed = 42;
+  in.metrics.mig_adopted = 1;
+  in.samples = reg.samples();
+  core::ComponentStatus c;
+  c.id = ComponentId(2);
+  c.name = "merger";
+  c.held = true;
+  c.held_vt = -5;
+  c.inputs.push_back({WireId(7), "sender1", 100, 3, true});
+  in.status.components.push_back(c);
+  in.status.placement_epoch = 9;
+  in.status.placement.push_back({2, 1, 9});
+  in.status.migrations.push_back({9, 2, 0, 1, "adopt"});
+
+  const std::vector<std::byte> bytes = in.encode();
+  const NodeReport out = NodeReport::decode(bytes.data(), bytes.size());
+  EXPECT_EQ(out.node, "left");
+  EXPECT_EQ(out.metrics.messages_processed, 42u);
+  EXPECT_EQ(out.metrics.mig_adopted, 1u);
+  ASSERT_EQ(out.samples.size(), 2u);
+  ASSERT_EQ(out.status.components.size(), 1u);
+  EXPECT_EQ(out.status.components[0].name, "merger");
+  EXPECT_EQ(out.status.components[0].held_vt, -5);
+  ASSERT_EQ(out.status.components[0].inputs.size(), 1u);
+  EXPECT_EQ(out.status.components[0].inputs[0].sender, "sender1");
+  EXPECT_TRUE(out.status.components[0].inputs[0].blocking);
+  EXPECT_EQ(out.status.placement_epoch, 9u);
+  ASSERT_EQ(out.status.placement.size(), 1u);
+  EXPECT_EQ(out.status.placement[0].engine, 1u);
+  ASSERT_EQ(out.status.migrations.size(), 1u);
+  EXPECT_EQ(out.status.migrations[0].stage, "adopt");
+
+  // Every truncation and a trailing byte are refused, never misread.
+  for (std::size_t n = 0; n < bytes.size(); ++n)
+    EXPECT_THROW((void)NodeReport::decode(bytes.data(), n), serde::DecodeError)
+        << "prefix " << n;
+  std::vector<std::byte> longer = bytes;
+  longer.push_back(std::byte{0});
+  EXPECT_THROW((void)NodeReport::decode(longer.data(), longer.size()),
+               serde::DecodeError);
 }
 
 TEST(StatusJson, HeldFieldsOmittedWhenNotHeld) {

@@ -562,4 +562,18 @@ TEST(FingerprintSplitTest, TopologyChangeBreaksTopologyFingerprint) {
   EXPECT_NE(a.topology_fingerprint(), other.topology_fingerprint());
 }
 
+TEST(FingerprintSplitTest, ControlLinesAreAcceptedAndIgnored) {
+  // `control` lines named the retired binary operator protocol; files that
+  // still carry them parse to exactly the deployment without them.
+  std::string without(kDeployA);
+  for (auto at = without.find("control"); at != std::string::npos;
+       at = without.find("control"))
+    without.erase(at, without.find('\n', at) + 1 - at);
+  const auto a = net::DeploymentConfig::parse(kDeployA);
+  const auto b = net::DeploymentConfig::parse(without);
+  EXPECT_EQ(a.fingerprint(), b.fingerprint());
+  EXPECT_EQ(a.topology_fingerprint(), b.topology_fingerprint());
+  ASSERT_EQ(a.partitions.size(), 2u);
+}
+
 }  // namespace

@@ -10,7 +10,7 @@
 //     stability acks the merger's checkpoints generate);
 //   - recovery: wall time from merger-engine failover to full catch-up.
 //   - durable path (docs/RECOVERY.md): the same workload against a
-//     log-dir-backed runtime with durable checkpoints enabled; one forced
+//     log-dir-backed runtime (always durable checkpoints); one forced
 //     checkpoint at the end gates log compaction, so the column pair shows
 //     the checkpoint's on-disk size against the log bytes left after the
 //     gate reclaimed everything the checkpoint covers.
@@ -151,7 +151,6 @@ int main() {
       dconfig.checkpoint.every_n_messages = every_n;
       dconfig.checkpoint.full_every_k = 8;
       dconfig.log_dir = dir;
-      dconfig.durability.enabled = true;
       // Small segments so "log KB gated" shows compaction actually deleting
       // covered files, not just one giant undeletable active segment.
       dconfig.durability.segment_bytes = 16ull << 10;

@@ -3,9 +3,9 @@
 // deterministic replay of the external log suffix).
 //
 // For each workload size the harness fork()s an ingester child that runs
-// the Figure-1 word-count application against a log directory, taking
-// durable checkpoints at a fixed cadence (or never, for the cold
-// baseline), then pauses. The parent SIGKILLs it mid-pause — a genuine
+// the Figure-1 word-count application against a log directory, taking one
+// durable checkpoint a fixed-size tail before the end (or none, for the
+// cold baseline), then pauses. The parent SIGKILLs it mid-pause — a genuine
 // fail-stop, no destructors — and measures restart-to-caught-up: runtime
 // construction (checkpoint restore + log scan), start, and the suffix
 // replay to quiescence with outputs suppressed.
@@ -83,12 +83,11 @@ std::string make_temp_dir() {
   return dir == nullptr ? std::string() : std::string(dir);
 }
 
-tart::core::RuntimeConfig node_config(const std::string& dir, bool durable) {
+tart::core::RuntimeConfig node_config(const std::string& dir) {
   tart::core::RuntimeConfig config;
   config.checkpoint.every_n_messages = 8;
   config.checkpoint.full_every_k = 4;
   config.log_dir = dir;
-  config.durability.enabled = durable;
   return config;
 }
 
@@ -101,17 +100,17 @@ tart::core::Runtime make_runtime(App& app,
       config);
 }
 
-/// Child body: ingest `per_sender` messages per sender; when `durable`,
+/// Child body: ingest `per_sender` messages per sender; when `checkpoint`,
 /// take one durable checkpoint with `tail` messages per sender still to
 /// come — so the restart always replays a fixed-size suffix no matter how
 /// long the covered prefix grew. Writes the marker file, then pauses until
 /// SIGKILL.
 [[noreturn]] void ingest_child(const std::string& dir, int per_sender,
-                               int tail, bool durable,
+                               int tail, bool checkpoint,
                                const std::string& marker) {
   {
     App app;
-    tart::core::Runtime rt = make_runtime(app, node_config(dir, durable));
+    tart::core::Runtime rt = make_runtime(app, node_config(dir));
     rt.start();
     const int prefix = per_sender > tail ? per_sender - tail : 0;
     const auto inject_one = [&](int i) {
@@ -121,7 +120,7 @@ tart::core::Runtime make_runtime(App& app,
                    tart::apps::sentence({"dog", "ran"}));
     };
     for (int i = 0; i < prefix; ++i) inject_one(i);
-    if (durable && prefix > 0) {
+    if (checkpoint && prefix > 0) {
       // Settle (NOT drain: drain closes the inputs and the tail is still to
       // come) so the checkpoint covers the whole prefix, then persist it.
       if (!tart::durability::ReplayDriver::catch_up(rt, 120s).caught_up)
@@ -149,7 +148,7 @@ struct Measurement {
 };
 
 /// One crash/restart cycle. Returns the restart-side measurement.
-Measurement run_cycle(int per_sender, int tail, bool durable) {
+Measurement run_cycle(int per_sender, int tail, bool checkpoint) {
   Measurement m;
   const std::string dir = make_temp_dir();
   if (dir.empty()) return m;
@@ -157,7 +156,7 @@ Measurement run_cycle(int per_sender, int tail, bool durable) {
 
   const pid_t pid = fork();
   if (pid < 0) return m;
-  if (pid == 0) ingest_child(dir, per_sender, tail, durable, marker);
+  if (pid == 0) ingest_child(dir, per_sender, tail, checkpoint, marker);
 
   // Wait for the child to finish ingesting, then fail-stop it.
   const auto deadline = Clock::now() + 180s;
@@ -177,7 +176,7 @@ Measurement run_cycle(int per_sender, int tail, bool durable) {
   {
     App app;
     const auto t0 = Clock::now();
-    tart::core::Runtime rt = make_runtime(app, node_config(dir, durable));
+    tart::core::Runtime rt = make_runtime(app, node_config(dir));
     rt.start();
     const auto stats = tart::durability::ReplayDriver::catch_up(rt, 120s);
     m.rto_ms = static_cast<double>(
@@ -189,13 +188,6 @@ Measurement run_cycle(int per_sender, int tail, bool durable) {
     m.covered = rt.recovery_info().covered_records;
     m.suffix = rt.recovery_info().suffix_records;
     m.log_bytes = rt.log_bytes_on_disk();
-    if (m.log_bytes == 0) {
-      // Cold runs use the unsegmented store, which doesn't self-report;
-      // size the log files on disk directly.
-      for (const auto& entry : std::filesystem::directory_iterator(dir))
-        if (entry.is_regular_file() && entry.path().filename() != "ingested")
-          m.log_bytes += entry.file_size();
-    }
     m.ok = stats.caught_up;
     rt.stop();
   }
@@ -205,7 +197,7 @@ Measurement run_cycle(int per_sender, int tail, bool durable) {
 
 int smoke(bool json, const std::string& json_path) {
   const Measurement m = run_cycle(/*per_sender=*/150, /*tail=*/50,
-                                  /*durable=*/true);
+                                  /*checkpoint=*/true);
   if (!m.ok) {
     std::printf("SMOKE FAIL: restart did not catch up\n");
     return 1;
@@ -265,8 +257,8 @@ int main(int argc, char** argv) {
                             "suffix"});
   tart::bench::JsonResult results("recovery");
   for (const int n : {250, 500, 1000, 2000}) {
-    const Measurement cold = run_cycle(n, /*tail=*/0, /*durable=*/false);
-    const Measurement ckpt = run_cycle(n, /*tail=*/100, /*durable=*/true);
+    const Measurement cold = run_cycle(n, /*tail=*/0, /*checkpoint=*/false);
+    const Measurement ckpt = run_cycle(n, /*tail=*/100, /*checkpoint=*/true);
     if (!cold.ok || !ckpt.ok) {
       std::printf("ERROR: restart failed to catch up at n=%d\n", n);
       return 1;

@@ -25,6 +25,12 @@ cmake -B build -S . >/dev/null
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
+# Flake gate: the process and trace-determinism tests (forked nodes,
+# SIGKILL, timing-sensitive replay) must pass ten times in a row.
+echo "== flake gate: process + trace-determinism tests x10 =="
+ctest --test-dir build -R 'ProcessTest|TraceDeterminism' \
+  --repeat until-fail:10 -j"$(nproc)"
+
 echo "== gateway bench smoke =="
 if [[ "$smoke_json" == 1 ]]; then
   mkdir -p bench/out
@@ -78,8 +84,9 @@ if [[ "$run_asan" == 1 ]]; then
   cmake -B build-asan -S . -DTART_SANITIZE=address >/dev/null
   cmake --build build-asan -j"$(nproc)"
   ctest --test-dir build-asan --output-on-failure -j"$(nproc)"
-  # The HTTP parser fuzz tests (gateway_test) run again here under ASan —
-  # that is the memory-safety net for the byte-mutation corpus.
+  # The fuzz tests (HTTP parser in gateway_test, transport frames in
+  # net_frame_test, on-disk decoders in durability_test) run again here
+  # under ASan — the memory-safety net for the byte-mutation corpus.
   echo "== gateway bench smoke (ASan) =="
   ./build-asan/bench/bench_gateway --smoke
 fi

@@ -9,7 +9,8 @@
 # scrapes /metrics + /status from both gateways mid-run with
 # `tart-obs --scrape` (lint-clean exposition, stall-attribution series
 # present, parsable wavefront JSON), aggregates both nodes' GET /obs
-# once with `tart-obs --once`, renders the live profiler view with
+# once with `tart-obs --once --series` (which must append a JSONL
+# line), renders the live profiler view with
 # `tart-obs top --once`, and gates `GET /profile` on both nodes (span
 # profiler snapshot present and self-consistent — loop span time <=
 # wall time, saturation in [0,1]). Both nodes record flight-recorder traces;
@@ -25,7 +26,7 @@ iters="${1:-20}"
 
 cmake -B build -S . >/dev/null
 cmake --build build -j"$(nproc)" --target net_process_test net_loop_test \
-  gateway_process_test tart-node tart-trace tart-gateway tart-obs
+  gateway_process_test tart-node tart-trace tart-obs
 
 wait_healthy() {
   local addr="$1"
@@ -60,7 +61,6 @@ EOF
   mkdir -p "$dir/left" "$dir/right"
   ./build/src/tools/tart-node "$dir/deploy.conf" left \
     --http="$left_http" --log-dir="$dir/left" --trace="$dir/left.trc" \
-    --sample="$dir/left.jsonl" --sample-interval-ms=100 \
     > "$dir/left.out" 2>&1 &
   local left_pid=$!
   ./build/src/tools/tart-node "$dir/deploy.conf" right \
@@ -86,8 +86,10 @@ EOF
   # Mid-run: both gateways must serve a lint-clean Prometheus page with
   # the per-wire stall-attribution family, and a parsable /status page.
   ./build/src/tools/tart-obs --scrape "$left_http" "$right_http"
-  # Both nodes' GET /obs reports aggregated into one cluster table.
-  ./build/src/tools/tart-obs --once "$left_http" "$right_http"
+  # Both nodes' GET /obs reports aggregated into one cluster table, plus
+  # one JSONL series line per round in the file.
+  ./build/src/tools/tart-obs --once --series="$dir/cluster.jsonl" \
+    "$left_http" "$right_http"
 
   wait "$feeder_pid" || true
 
@@ -144,8 +146,8 @@ PY
   # Post-drain scrape: the counters page must still lint clean once the
   # pessimism/stall series carry real observations.
   ./build/src/tools/tart-obs --scrape "$left_http" "$right_http"
-  [[ -s "$dir/left.jsonl" ]] || {
-    echo "ERROR: --sample produced no JSONL on the left node" >&2
+  [[ -s "$dir/cluster.jsonl" ]] || {
+    echo "ERROR: tart-obs --series produced no JSONL" >&2
     return 1
   }
 
@@ -201,7 +203,8 @@ PY
   echo "== live scrape clean =="
 }
 
-# Durable checkpoint + tiered-restart phase: a durable left node ingests,
+# Durable checkpoint + tiered-restart phase: a left node with a log dir
+# ingests,
 # checkpoints on demand (POST /checkpoint), is SIGKILLed, and must come
 # back through the fast path — the restart metrics have to show a
 # checkpoint-covered prefix that was NOT replayed (docs/RECOVERY.md).
@@ -223,7 +226,7 @@ place sender2 = left
 place merger = right
 EOF
   mkdir -p "$dir/left"
-  local durable_flags=(--log-dir="$dir/left" --durable --segment-bytes=1024)
+  local durable_flags=(--log-dir="$dir/left" --segment-bytes=1024)
   ./build/src/tools/tart-node "$dir/deploy.conf" left \
     --http="$left_http" "${durable_flags[@]}" > "$dir/left.out" 2>&1 &
   local left_pid=$!
@@ -360,7 +363,7 @@ EOF
     --http="$mid_http" --log-dir="$dir/mid" > "$dir/mid.out" 2>&1 &
   local mid_pid=$!
   ./build/src/tools/tart-node "$dir/deploy.conf" right \
-    --http="$right_http" --log-dir="$dir/right" --durable \
+    --http="$right_http" --log-dir="$dir/right" \
     > "$dir/right.out" 2>&1 &
   local right_pid=$!
   # shellcheck disable=SC2064

@@ -8,11 +8,6 @@ bool ReplicaStore::store(ComponentSnapshot snapshot) {
   const std::lock_guard<std::mutex> lock(mutex_);
   bytes_ += snapshot.encoded_size();
   ++count_;
-  if (store_ != nullptr) {
-    serde::Writer w;
-    snapshot.encode(w);
-    store_->append(w.bytes());
-  }
   const ComponentId component = snapshot.component;
   const VirtualTime vt = snapshot.vt;
   const std::uint64_t version = snapshot.version;
@@ -47,19 +42,6 @@ bool ReplicaStore::store_locked(ComponentSnapshot snapshot) {
   if (snapshot.version != expected) return false;  // chain broken
   plan.deltas.push_back(std::move(snapshot));
   return true;
-}
-
-void ReplicaStore::attach_store(log::FileStableStore* store) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  store_ = store;
-}
-
-void ReplicaStore::load_from(const std::string& path) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& record : log::FileStableStore::scan(path)) {
-    serde::Reader r(record);
-    (void)store_locked(ComponentSnapshot::decode(r));
-  }
 }
 
 std::optional<RestorePlan> ReplicaStore::restore(ComponentId component) const {

@@ -8,6 +8,9 @@
 // component plus any deltas received since, and hands them back on
 // failover. Delta application happens on the recovering side.
 //
+// The store itself is in memory; a durable checkpoint file
+// (src/durability) persists its plans on "a stable storage device".
+//
 // Thread-safe: soft checkpoints arrive asynchronously from engine threads.
 #pragma once
 
@@ -19,7 +22,6 @@
 
 #include "checkpoint/snapshot.h"
 #include "common/ids.h"
-#include "log/stable_store.h"
 
 namespace tart::trace {
 class TraceRecorder;
@@ -64,14 +66,6 @@ class ReplicaStore {
 
   void clear();
 
-  /// Write-through persistence: accepted snapshots are also framed into
-  /// `store` (checkpoints on "a stable storage device", §II.C).
-  void attach_store(log::FileStableStore* store);
-
-  /// Reloads snapshots persisted by attach_store (cold restart). Byte
-  /// accounting is not replayed — only the restore plans.
-  void load_from(const std::string& path);
-
   /// Flight recorder (may be null): an accepted snapshot is the durable
   /// checkpoint event, so it is recorded here rather than at capture.
   void set_trace(trace::TraceRecorder* recorder);
@@ -83,7 +77,6 @@ class ReplicaStore {
   std::map<ComponentId, RestorePlan> plans_;
   std::uint64_t bytes_ = 0;
   std::uint64_t count_ = 0;
-  log::FileStableStore* store_ = nullptr;
   trace::TraceRecorder* trace_ = nullptr;
 };
 

@@ -37,7 +37,7 @@ ComponentSnapshot ComponentSnapshot::decode(serde::Reader& r) {
   s.messages_processed = r.read_varint();
   s.estimator_version = r.read_varint();
   s.state = r.read_bytes();
-  const auto nin = r.read_varint();
+  const auto nin = r.read_count();
   s.inputs.reserve(nin);
   for (std::uint64_t i = 0; i < nin; ++i) {
     InputPosition in;
@@ -46,7 +46,7 @@ ComponentSnapshot ComponentSnapshot::decode(serde::Reader& r) {
     in.next_seq = r.read_varint();
     s.inputs.push_back(in);
   }
-  const auto nout = r.read_varint();
+  const auto nout = r.read_count();
   s.outputs.reserve(nout);
   for (std::uint64_t i = 0; i < nout; ++i) {
     OutputPosition out;
@@ -54,7 +54,7 @@ ComponentSnapshot ComponentSnapshot::decode(serde::Reader& r) {
     out.next_seq = r.read_varint();
     out.silence_through = r.read_vt();
     out.last_sent = r.read_vt();
-    const auto nret = r.read_varint();
+    const auto nret = r.read_count();
     out.retained.reserve(nret);
     for (std::uint64_t j = 0; j < nret; ++j)
       out.retained.push_back(Message::decode(r));

@@ -90,18 +90,16 @@ struct RuntimeConfig {
   std::set<EngineId> local_engines;
 
   /// Stable-storage directory (§II.C: the backup can be "a stable storage
-  /// device"). When set, the external message log and the determinism
-  /// fault log are write-through persisted to <log_dir>/messages.log and
-  /// <log_dir>/faults.log; a Runtime constructed over an existing log_dir
-  /// recovers them and Runtime::start() replays the recovered input — a
-  /// full cold restart of the whole deployment from stable storage.
+  /// device"). Empty = volatile. When set, the runtime keeps its external
+  /// input log in rotated segments (<log_dir>/messages.*.seg), the
+  /// determinism-fault log in <log_dir>/faults.log, and durable checkpoint
+  /// files (ckpt.*.tckp) beside them. A Runtime constructed over an
+  /// existing log_dir restores the newest valid checkpoint and replays only
+  /// the log suffix past it (docs/RECOVERY.md) — the one restart path.
   std::string log_dir;
 
-  /// Durable checkpoints + checkpoint-gated log compaction + tiered fast
-  /// restart (src/durability, docs/RECOVERY.md). Engages only when enabled
-  /// AND log_dir is set: the external log then lives in rotated segments
-  /// and restart replays only the suffix past the newest durable
-  /// checkpoint.
+  /// Checkpoint triggers, retention and segment size for log_dir
+  /// (src/durability, docs/RECOVERY.md). Ignored without a log_dir.
   durability::DurabilityConfig durability;
 };
 

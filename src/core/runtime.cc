@@ -67,33 +67,13 @@ Runtime::Runtime(Topology topology, std::map<ComponentId, EngineId> placement,
                                    tracer_.get()));
     }
   }
-  // Stable storage: recover any previously persisted logs, then attach
-  // write-through stores for this incarnation.
-  const bool durable =
-      config_.durability.enabled && !config_.log_dir.empty();
-  if (!config_.log_dir.empty() && !durable) {
-    const std::string messages_path = config_.log_dir + "/messages.log";
-    const std::string faults_path = config_.log_dir + "/faults.log";
-    const std::string replica_path = config_.log_dir + "/replica.log";
-    message_log_.load_from(messages_path);
-    fault_log_.load_from(faults_path);
-    replica_.load_from(replica_path);
-    message_store_ = std::make_unique<log::FileStableStore>(messages_path);
-    fault_store_ = std::make_unique<log::FileStableStore>(faults_path);
-    replica_store_ = std::make_unique<log::FileStableStore>(replica_path);
-    message_log_.attach_store(message_store_.get());
-    fault_log_.attach_store(fault_store_.get());
-    replica_.attach_store(replica_store_.get());
-  }
-  if (durable) {
-    // Tiered fast restart (docs/RECOVERY.md): restore plans + per-wire
-    // coverage from the newest valid checkpoint file, then load only the
-    // log suffix past it. Plans persist in checkpoint files, so the
-    // unbounded replica.log write-through is not used in this mode.
-    durability::DurabilityConfig& d = config_.durability;
-    if (d.dir.empty()) d.dir = config_.log_dir;
-    const auto newest =
-        durability::CheckpointReader::load_newest(d.dir, d.deployment_fp);
+  // Stable storage (docs/RECOVERY.md): restore plans + per-wire coverage
+  // from the newest valid checkpoint file, then load only the log suffix
+  // past it. Soft checkpoints persist only inside checkpoint files.
+  if (!config_.log_dir.empty()) {
+    const durability::DurabilityConfig& d = config_.durability;
+    const auto newest = durability::CheckpointReader::load_newest(
+        config_.log_dir, d.deployment_fp);
     if (newest.has_value()) {
       recovery_.from_checkpoint = true;
       recovery_.checkpoint_id = newest->checkpoint.id;
@@ -119,7 +99,9 @@ Runtime::Runtime(Topology topology, std::map<ComponentId, EngineId> placement,
     fault_store_ = std::make_unique<log::FileStableStore>(faults_path);
     fault_log_.attach_store(fault_store_.get());
 
-    ckpt_manager_ = std::make_unique<durability::CheckpointManager>(*this, d);
+    ckpt_manager_ = std::make_unique<durability::CheckpointManager>(
+        *this, config_.log_dir, d,
+        newest.has_value() ? &newest->checkpoint : nullptr);
   }
 
   // External endpoints — only those adjacent to a local component: a
@@ -740,15 +722,11 @@ MetricsSnapshot Runtime::total_metrics() const {
     const MetricsSnapshot s = engines_.at(engine)->metrics(component);
     total += s;
   }
-  for (const auto* store :
-       {message_store_.get(), fault_store_.get(), replica_store_.get()}) {
-    if (store == nullptr) continue;
-    total.store_records_written += store->records_written();
-    total.store_flushes += store->flushes();
-  }
   if (segment_store_ != nullptr) {
-    total.store_records_written += segment_store_->records_written();
-    total.store_flushes += segment_store_->flushes();
+    total.store_records_written += fault_store_->records_written() +
+                                   segment_store_->records_written();
+    total.store_flushes +=
+        fault_store_->flushes() + segment_store_->flushes();
     total.log_segments = segment_store_->segment_count();
     total.log_bytes_on_disk = segment_store_->bytes_on_disk();
     total.log_segments_deleted = segment_store_->segments_deleted();

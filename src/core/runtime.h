@@ -101,7 +101,7 @@ struct InjectResult {
                           ///< unique lineage id (wire, seq)
 };
 
-/// What this incarnation booted from (durable mode; see docs/RECOVERY.md).
+/// What this incarnation booted from (log_dir set; see docs/RECOVERY.md).
 struct RecoveryInfo {
   bool from_checkpoint = false;
   std::uint64_t checkpoint_id = 0;
@@ -306,7 +306,7 @@ class Runtime final : public FrameRouter {
     return retention_trimmed_.load(std::memory_order_relaxed);
   }
 
-  // --- Durability (docs/RECOVERY.md; active only in durable mode) ----------
+  // --- Durability (docs/RECOVERY.md; active only with a log_dir) ----------
 
   /// External input wires whose consumer is local — the wires a durable
   /// checkpoint records coverage for.
@@ -323,8 +323,8 @@ class Runtime final : public FrameRouter {
   /// Returns records reclaimed from memory.
   std::uint64_t compact_below(const std::map<WireId, std::uint64_t>& covered);
 
-  /// Bytes the segmented external log occupies on disk (0 when not in
-  /// durable mode).
+  /// Bytes the segmented external log occupies on disk (0 without a
+  /// log_dir).
   [[nodiscard]] std::uint64_t log_bytes_on_disk() const;
 
   /// Suppresses external output callbacks (records are still kept): the
@@ -336,13 +336,13 @@ class Runtime final : public FrameRouter {
     return outputs_suppressed_.load();
   }
 
-  /// What this incarnation restored from (zeroes outside durable mode).
+  /// What this incarnation restored from (zeroes without a log_dir).
   [[nodiscard]] const RecoveryInfo& recovery_info() const { return recovery_; }
-  /// Null when durable mode is off.
+  /// Null without a log_dir.
   [[nodiscard]] durability::CheckpointManager* checkpoint_manager() {
     return ckpt_manager_.get();
   }
-  /// Null when durable mode is off.
+  /// Null without a log_dir.
   [[nodiscard]] log::SegmentedStore* segment_store() {
     return segment_store_.get();
   }
@@ -439,14 +439,11 @@ class Runtime final : public FrameRouter {
   log::ExternalMessageLog message_log_;
   log::DeterminismFaultLog fault_log_;
   checkpoint::ReplicaStore replica_;
-  std::unique_ptr<log::FileStableStore> message_store_;
-  std::unique_ptr<log::FileStableStore> fault_store_;
-  std::unique_ptr<log::FileStableStore> replica_store_;
-
-  /// Durable mode (config.durability.enabled && log_dir set): the external
-  /// log lives in rotated segments instead of one messages.log, and the
-  /// manager writes checkpoint files + gates compaction on them.
+  /// Stable storage (all null without a log_dir): the external log in
+  /// rotated segments, the determinism-fault log, and the manager that
+  /// writes checkpoint files + gates compaction on them.
   std::unique_ptr<log::SegmentedStore> segment_store_;
+  std::unique_ptr<log::FileStableStore> fault_store_;
   std::unique_ptr<durability::CheckpointManager> ckpt_manager_;
   RecoveryInfo recovery_;
   std::atomic<bool> outputs_suppressed_{false};

@@ -61,7 +61,7 @@ void encode_plan(serde::Writer& w, const checkpoint::RestorePlan& plan) {
 checkpoint::RestorePlan decode_plan(serde::Reader& r) {
   checkpoint::RestorePlan plan;
   plan.base = checkpoint::ComponentSnapshot::decode(r);
-  const std::uint64_t deltas = r.read_varint();
+  const std::uint64_t deltas = r.read_count();
   plan.deltas.reserve(deltas);
   for (std::uint64_t i = 0; i < deltas; ++i)
     plan.deltas.push_back(checkpoint::ComponentSnapshot::decode(r));
@@ -99,7 +99,7 @@ DurableCheckpoint DurableCheckpoint::decode(serde::Reader& r) {
   c.id = r.read_varint();
   c.deployment_fp = r.read_u64();
   c.covered_record_index = r.read_varint();
-  const std::uint64_t wires = r.read_varint();
+  const std::uint64_t wires = r.read_count();
   c.wires.reserve(wires);
   for (std::uint64_t i = 0; i < wires; ++i) {
     WireCover wc{WireId(r.read_u32()), 0, VirtualTime(-1)};

@@ -3,18 +3,16 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace tart::durability {
 
+/// Tuning for the one on-disk mode: a runtime with a log_dir always writes
+/// checkpoint files and a segmented, checkpoint-compacted external log
+/// into that directory.
 struct DurabilityConfig {
-  /// Master switch. Durable checkpoints, segmented external log and
-  /// checkpoint-gated compaction engage only when this is set AND the
-  /// runtime has a log_dir.
+  /// No effect: a log_dir alone selects the durable path. Kept only so
+  /// callers that still set it (the perfbench workloads) keep compiling.
   bool enabled = false;
-
-  /// Checkpoint directory; empty = the runtime's log_dir.
-  std::string dir;
 
   /// Write a durable checkpoint every this many milliseconds. <= 0
   /// disables the timer (on-demand checkpoints still work).

@@ -33,15 +33,15 @@ std::map<WireId, std::uint64_t> cover_from_plans(
 }  // namespace
 
 CheckpointManager::CheckpointManager(core::Runtime& runtime,
-                                     DurabilityConfig config)
+                                     const std::string& dir,
+                                     DurabilityConfig config,
+                                     const DurableCheckpoint* restored)
     : runtime_(runtime),
       config_(std::move(config)),
-      writer_(config_.dir, config_.keep_last) {
-  // Seed the cover from the newest on-disk checkpoint so a restarted node
-  // advertises accurate bounds in its very first HELLO.
-  if (const auto newest =
-          CheckpointReader::load_newest(config_.dir, config_.deployment_fp))
-    latest_cover_ = cover_from_plans(newest->checkpoint.plans);
+      writer_(dir, config_.keep_last) {
+  // Seed the cover from the checkpoint the runtime booted from, so a
+  // restarted node advertises accurate bounds in its very first HELLO.
+  if (restored != nullptr) latest_cover_ = cover_from_plans(restored->plans);
 }
 
 CheckpointManager::~CheckpointManager() { stop(); }

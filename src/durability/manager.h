@@ -48,7 +48,11 @@ struct CheckpointStats {
 
 class CheckpointManager {
  public:
-  CheckpointManager(core::Runtime& runtime, DurabilityConfig config);
+  /// Writes checkpoint files into `dir` (the runtime's log_dir).
+  /// `restored` is the checkpoint the runtime booted from, if any.
+  CheckpointManager(core::Runtime& runtime, const std::string& dir,
+                    DurabilityConfig config,
+                    const DurableCheckpoint* restored);
   ~CheckpointManager();
 
   CheckpointManager(const CheckpointManager&) = delete;
@@ -75,7 +79,7 @@ class CheckpointManager {
   /// Per-wire covered seq of the NEWEST durable checkpoint — every input
   /// wire's next expected seq as the checkpointed plans recorded it (not
   /// just external wires; cross-node senders bound their retention with
-  /// it). Seeded from disk at construction, refreshed on every successful
+  /// it). Seeded from the restored checkpoint, refreshed on every successful
   /// checkpoint_now. Empty until a checkpoint exists.
   [[nodiscard]] std::map<WireId, std::uint64_t> latest_cover() const;
 

@@ -404,7 +404,7 @@ void Gateway::handle_request(std::uint64_t id, HttpRequest req) {
     durability::CheckpointManager* mgr = runtime_->checkpoint_manager();
     if (mgr == nullptr) {
       errors_.fetch_add(1);
-      respond(id, 503, {}, "durability is not enabled on this node\n",
+      respond(id, 503, {}, "this node has no log directory\n",
               req.keep_alive);
       return;
     }

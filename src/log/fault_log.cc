@@ -17,7 +17,7 @@ FaultRecord FaultRecord::decode(serde::Reader& r) {
   rec.component = ComponentId(r.read_u32());
   rec.version = r.read_varint();
   rec.effective_vt = r.read_vt();
-  const auto n = r.read_varint();
+  const auto n = r.read_count();
   rec.coefficients.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i)
     rec.coefficients.push_back(r.read_double());

@@ -49,7 +49,8 @@ class DeterminismFaultLog {
 
   [[nodiscard]] std::uint64_t total_records() const;
 
-  /// Write-through persistence and recovery (see ExternalMessageLog).
+  /// Write-through persistence to one file (<log_dir>/faults.log) and its
+  /// reload at restart.
   void attach_store(FileStableStore* store);
   void load_from(const std::string& path);
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "log/segmented_store.h"
+
 namespace tart::log {
 
 void ExternalMessageLog::append_locked(const Message& message) {
@@ -48,34 +50,26 @@ bool ExternalMessageLog::append_batch(const std::vector<Message>& messages) {
   return durable;
 }
 
-void ExternalMessageLog::attach_store(StableSink* store) {
+void ExternalMessageLog::attach_store(SegmentedStore* store) {
   const std::lock_guard<std::mutex> lock(mutex_);
   store_ = store;
-}
-
-void ExternalMessageLog::load_from(const std::string& path) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& record : FileStableStore::scan(path)) {
-    serde::Reader r(record);
-    const Message m = Message::decode(r);
-    entries_[m.wire].push_back(m);
-    order_.emplace_back(m.wire, m.seq);
-  }
-  // Batched appends from one writer may interleave with single appends
-  // from another across wires; per wire the seq order is authoritative.
-  for (auto& [wire, list] : entries_)
-    std::sort(list.begin(), list.end(),
-              [](const Message& a, const Message& b) { return a.seq < b.seq; });
 }
 
 void ExternalMessageLog::load_records(
     const std::vector<std::vector<std::byte>>& records,
     std::uint64_t first_index) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  order_base_ = first_index;
+  // Decode everything before touching the log: a record that does not
+  // decode (or carries trailing bytes) fails the whole load cleanly.
+  std::vector<Message> decoded;
+  decoded.reserve(records.size());
   for (const auto& record : records) {
     serde::Reader r(record);
-    const Message m = Message::decode(r);
+    decoded.push_back(Message::decode(r));
+    if (!r.at_end()) throw serde::DecodeError("trailing bytes in log record");
+  }
+  const std::lock_guard<std::mutex> lock(mutex_);
+  order_base_ = first_index;
+  for (Message& m : decoded) {
     // The order index must mirror the store record-for-record — including
     // covered records whose segment has not been reclaimed yet — or a
     // later covered_record_index would point at the wrong segment.
@@ -83,8 +77,10 @@ void ExternalMessageLog::load_records(
     const auto base = base_seq_.find(m.wire);
     if (base != base_seq_.end() && m.seq < base->second)
       continue;  // covered by the restored checkpoint
-    entries_[m.wire].push_back(m);
+    entries_[m.wire].push_back(std::move(m));
   }
+  // Batched appends from one writer may interleave with single appends
+  // from another across wires; per wire the seq order is authoritative.
   for (auto& [wire, list] : entries_)
     std::sort(list.begin(), list.end(),
               [](const Message& a, const Message& b) { return a.seq < b.seq; });

@@ -29,10 +29,11 @@
 
 #include "common/ids.h"
 #include "common/virtual_time.h"
-#include "log/stable_store.h"
 #include "wire/message.h"
 
 namespace tart::log {
+
+class SegmentedStore;
 
 class ExternalMessageLog {
  public:
@@ -100,16 +101,15 @@ class ExternalMessageLog {
 
   /// Write-through persistence: every subsequent append is also framed
   /// into `store` before the call returns (stable-storage durability).
-  void attach_store(StableSink* store);
-
-  /// Reloads a log persisted by attach_store. Call on an empty log before
-  /// re-attaching a store.
-  void load_from(const std::string& path);
+  void attach_store(SegmentedStore* store);
 
   /// Reloads from pre-scanned store records whose first record has global
-  /// index `first_index` (SegmentedStore::scan_all after compaction).
-  /// Records below a wire's base (covered by the restored checkpoint but
-  /// not yet reclaimed from disk) are index-tracked but not retained.
+  /// index `first_index` (SegmentedStore::scan_all after compaction) — the
+  /// only reload path. Records below a wire's base (covered by the
+  /// restored checkpoint but not yet reclaimed from disk) are index-tracked
+  /// but not retained. Call on an empty log before attaching a store.
+  /// Throws serde::DecodeError, leaving the log unchanged, when any record
+  /// does not decode as one Message.
   void load_records(const std::vector<std::vector<std::byte>>& records,
                     std::uint64_t first_index);
 
@@ -125,7 +125,7 @@ class ExternalMessageLog {
   std::deque<std::pair<WireId, std::uint64_t>> order_;
   std::uint64_t order_base_ = 0;
   std::uint64_t truncated_ = 0;
-  StableSink* store_ = nullptr;
+  SegmentedStore* store_ = nullptr;
 };
 
 }  // namespace tart::log

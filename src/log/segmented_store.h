@@ -1,9 +1,10 @@
-// Rotated-segment stable storage: the compactable external log.
+// Rotated-segment stable storage: the external log of every runtime with
+// a log_dir (there is no other on-disk log format).
 //
-// A FileStableStore grows one file forever, so the only way to reclaim
-// space would be to rewrite it in place — unsafe under the log-before-ack
-// contract. SegmentedStore keeps the same framing and group-commit
-// semantics but rotates to a fresh file once the active segment exceeds
+// One FileStableStore would grow one file forever, so the only way to
+// reclaim space would be to rewrite it in place — unsafe under the
+// log-before-ack contract. SegmentedStore keeps the same framing and
+// group-commit semantics but rotates to a fresh file once the active segment exceeds
 // `segment_bytes`. Sealed segments are immutable; checkpoint-gated
 // compaction (src/durability) deletes a sealed segment only when every
 // record in it lies below the newest durable checkpoint's covered offset —
@@ -12,9 +13,10 @@
 // named `<base>.<first_index>.seg` so a scan can reconstruct the index of
 // every surviving record after any number of deletions.
 //
-// A legacy single-file `<base>.log` (written by FileStableStore before the
-// durability subsystem existed) is adopted on open by renaming it to the
-// index-0 segment; cold restarts across the format change keep working.
+// A legacy single-file `<base>.log` (the unsegmented messages.log that
+// older builds wrote without durable checkpoints) is adopted on open by
+// renaming it to the index-0 segment: the upgrade path for such
+// directories.
 //
 // Thread-safe: appends (gateway group commit), truncation (checkpoint
 // manager) and size queries (gauge sweeps) race by design.
@@ -31,7 +33,7 @@
 
 namespace tart::log {
 
-class SegmentedStore final : public StableSink {
+class SegmentedStore {
  public:
   struct Options {
     /// Seal the active segment and rotate once it reaches this many bytes.
@@ -45,10 +47,10 @@ class SegmentedStore final : public StableSink {
   SegmentedStore(std::string dir, std::string base, Options options);
   SegmentedStore(std::string dir, std::string base);
 
-  bool append(const std::vector<std::byte>& record) override;
-  bool append_batch(std::span<const std::vector<std::byte>> records) override;
-  [[nodiscard]] std::uint64_t records_written() const override;
-  [[nodiscard]] std::uint64_t flushes() const override;
+  bool append(const std::vector<std::byte>& record);
+  bool append_batch(std::span<const std::vector<std::byte>> records);
+  [[nodiscard]] std::uint64_t records_written() const;
+  [[nodiscard]] std::uint64_t flushes() const;
 
   /// Every intact record across all surviving segments, in global append
   /// order. The first returned record has index first_retained_index().

@@ -69,6 +69,9 @@ std::vector<std::vector<std::byte>> FileStableStore::scan(
   std::ifstream in(path, std::ios::binary);
   if (intact_bytes != nullptr) *intact_bytes = 0;
   if (!in.is_open()) return records;
+  in.seekg(0, std::ios::end);
+  const auto file_bytes = static_cast<std::uint64_t>(in.tellg());
+  in.seekg(0);
 
   for (;;) {
     std::byte header[16];
@@ -78,6 +81,9 @@ std::vector<std::vector<std::byte>> FileStableStore::scan(
     if (r.read_u32() != kMagic) break;  // corrupted frame marker
     const std::uint32_t size = r.read_u32();
     const std::uint64_t checksum = r.read_u64();
+    // A size running past the end of the file is a torn (or corrupt)
+    // frame: stop before allocating for it.
+    if (size > file_bytes - intact - sizeof(header)) break;
 
     std::vector<std::byte> record(size);
     in.read(reinterpret_cast<char*>(record.data()), size);

@@ -15,9 +15,9 @@
 // a batched write tears at a record boundary exactly like a single
 // append: scan() recovers the intact prefix of the batch.
 //
-// ExternalMessageLog and DeterminismFaultLog can attach a store for
-// write-through persistence and be reloaded from one after a process
-// restart.
+// SegmentedStore (segmented_store.h) builds the compactable external log
+// from one of these per segment; DeterminismFaultLog writes through to one
+// and reloads from it after a process restart.
 #pragma once
 
 #include <atomic>
@@ -28,21 +28,7 @@
 
 namespace tart::log {
 
-/// Anything a log can write through to for durability. FileStableStore is
-/// the single-file implementation; SegmentedStore (segmented_store.h)
-/// rotates across files so checkpoint-gated compaction can reclaim whole
-/// prefixes by deleting sealed segments.
-class StableSink {
- public:
-  virtual ~StableSink() = default;
-  virtual bool append(const std::vector<std::byte>& record) = 0;
-  virtual bool append_batch(
-      std::span<const std::vector<std::byte>> records) = 0;
-  [[nodiscard]] virtual std::uint64_t records_written() const = 0;
-  [[nodiscard]] virtual std::uint64_t flushes() const = 0;
-};
-
-class FileStableStore final : public StableSink {
+class FileStableStore {
  public:
   /// Opens (creating if absent) the store for appending.
   explicit FileStableStore(std::string path);
@@ -53,23 +39,23 @@ class FileStableStore final : public StableSink {
 
   /// Appends one record durably (framed + checksummed + fsynced). Returns
   /// false on I/O failure.
-  bool append(const std::vector<std::byte>& record) override;
+  bool append(const std::vector<std::byte>& record);
 
   /// Appends N records with ONE write and ONE fsync: the records become
   /// durable together, for the cost of a single flush. Returns false on
   /// I/O failure (no record of the batch should then be trusted durable,
   /// though an intact prefix may still survive a scan). An empty batch is
   /// a no-op that succeeds without flushing.
-  bool append_batch(std::span<const std::vector<std::byte>> records) override;
+  bool append_batch(std::span<const std::vector<std::byte>> records);
 
   [[nodiscard]] const std::string& path() const { return path_; }
-  [[nodiscard]] std::uint64_t records_written() const override {
+  [[nodiscard]] std::uint64_t records_written() const {
     return written_.load(std::memory_order_relaxed);
   }
   /// Durability flushes issued (fsync calls): one per append(), one per
   /// non-empty append_batch(). records_written / flushes is the achieved
   /// group-commit factor.
-  [[nodiscard]] std::uint64_t flushes() const override {
+  [[nodiscard]] std::uint64_t flushes() const {
     return flushes_.load(std::memory_order_relaxed);
   }
 

@@ -37,10 +37,8 @@ NetHost::NetHost(DeploymentConfig deploy, const std::string& partition,
   core::RuntimeConfig config;
   config.local_engines = {self_->engine};
   config.log_dir = options_.log_dir;
-  if (options_.durability.enabled) {
-    if (options_.log_dir.empty())
-      throw ConfigError("durability requires --log-dir");
-    config.durability = options_.durability;
+  config.durability = options_.durability;
+  if (!options_.log_dir.empty()) {
     // Refuse a checkpoint written under a different TOPOLOGY: its wire ids
     // would alias unrelated wires here. Placement is deliberately excluded
     // from this fingerprint — live migration moves components without
@@ -164,13 +162,11 @@ void NetHost::start() {
         });
   }
 
-  // Tiered fast restart: consume the recovered log suffix (outputs
-  // suppressed) before the gateway opens — new external traffic then lands
-  // on a caught-up node (docs/RECOVERY.md).
-  if (options_.durability.enabled && runtime_->recovery_info().suffix_records +
-                                             runtime_->recovery_info()
-                                                 .covered_records >
-                                         0) {
+  // Restart: consume the recovered log suffix past the restored checkpoint
+  // (outputs suppressed) before the gateway opens — new external traffic
+  // then lands on a caught-up node (docs/RECOVERY.md).
+  const core::RecoveryInfo& recovered = runtime_->recovery_info();
+  if (recovered.suffix_records + recovered.covered_records > 0) {
     const auto stats = durability::ReplayDriver::catch_up(
         *runtime_, std::chrono::milliseconds(options_.catch_up_timeout_ms));
     TART_INFO << "restart: checkpoint covered " << stats.covered_records
@@ -218,20 +214,6 @@ void NetHost::start() {
         std::move(host));
   }
 
-  if (!options_.sample_path.empty()) {
-    obs::Sampler::Options sampler_options;
-    sampler_options.path = options_.sample_path;
-    sampler_options.interval_ms = options_.sample_interval_ms;
-    sampler_ = std::make_unique<obs::Sampler>(
-        std::move(sampler_options), &runtime_->registry(),
-        [this] { return metrics(); });
-    if (!sampler_->start()) {
-      TART_WARN << "sampler: cannot open " << options_.sample_path
-                << "; sampling disabled";
-      sampler_.reset();
-    }
-  }
-
   if (options_.gauge_interval_ms > 0) {
     // First arm must happen on the loop thread (EventLoop threading
     // contract); the sweep re-arms itself from then on.
@@ -259,7 +241,6 @@ int NetHost::run_until_shutdown() {
   // flight once the runtime starts stopping.
   if (push_thread_.joinable()) push_thread_.join();
   stop_gauge_timer();
-  if (sampler_) sampler_->stop();
   if (gateway_) gateway_->shutdown();
   runtime_->stop();
   if (conn_) conn_->shutdown();

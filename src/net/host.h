@@ -36,7 +36,6 @@
 #include "net/connection_manager.h"
 #include "net/partition_config.h"
 #include "net/topologies.h"
-#include "obs/sampler.h"
 #include "placement/coordinator.h"
 
 namespace tart::net {
@@ -49,10 +48,6 @@ struct HostOptions {
   /// partition (clients talk to the node hosting the component).
   std::string http_addr;
   bool http_group_commit = true;  ///< see gateway::Gateway::Options
-  /// JSONL telemetry sampler output path; empty = sampler off (default).
-  /// Read-only observer — never perturbs the deterministic protocol.
-  std::string sample_path;
-  int sample_interval_ms = 1000;
   /// Render OpenMetrics exemplars on the gateway's GET /metrics (stall
   /// episode ids linking fat buckets to `tart-trace explain --episode`).
   bool http_exemplars = false;
@@ -64,10 +59,11 @@ struct HostOptions {
   /// push_interval_ms. Empty = no pushing (default).
   std::string push_addr;
   int push_interval_ms = 1000;
-  /// Durable checkpoints + checkpoint-gated log compaction + tiered fast
-  /// restart (docs/RECOVERY.md). Requires log_dir. start() then replays
-  /// the recovered log suffix to quiescence — outputs suppressed — before
-  /// the gateway opens for new traffic.
+  /// Checkpoint triggers, retention and segment size for log_dir
+  /// (docs/RECOVERY.md); ignored without one. A node with a log_dir
+  /// restarts from its newest checkpoint: start() replays the recovered
+  /// log suffix to quiescence — outputs suppressed — before the gateway
+  /// opens for new traffic.
   durability::DurabilityConfig durability;
   /// Upper bound on the start()-time catch-up replay.
   int catch_up_timeout_ms = 30000;
@@ -170,7 +166,6 @@ class NetHost {
   /// half-initialized host (on_link dereferences conn_ to probe wires).
   std::atomic<bool> conn_ready_{false};
   std::unique_ptr<gateway::Gateway> gateway_;
-  std::unique_ptr<obs::Sampler> sampler_;
 
   /// Loop-thread only (armed via post()).
   EventLoop::TimerId gauge_timer_ = 0;

@@ -590,4 +590,58 @@ std::string render_status_json(const core::StatusReport& report,
   return out;
 }
 
+// --- JSONL series line --------------------------------------------------------
+
+std::string render_series_line(std::int64_t ts_ms,
+                               const core::MetricsSnapshot& snap,
+                               const std::vector<Sample>& series) {
+  std::string out = "{\"ts_ms\":" + std::to_string(ts_ms) + ",\"metrics\":{";
+  bool first = true;
+#define TART_OBS_SERIES_FIELD(field, prom, help, agg, scale) \
+  if (!first) out += ',';                                    \
+  first = false;                                             \
+  out += "\"" #field "\":" + std::to_string(snap.field);
+  TART_METRICS_SCALAR_FIELDS(TART_OBS_SERIES_FIELD)
+#undef TART_OBS_SERIES_FIELD
+  out += "},\"series\":[";
+  first = true;
+  for (const Sample& s : series) {
+    if (!first) out += ',';
+    first = false;
+    out += "{\"name\":\"" + json_escape(s.name) + "\",\"labels\":{";
+    bool first_label = true;
+    for (const Label& l : s.labels) {
+      if (!first_label) out += ',';
+      first_label = false;
+      out += '"' + json_escape(l.key) + "\":\"" + json_escape(l.value) + '"';
+    }
+    out += '}';
+    switch (s.kind) {
+      case Kind::kCounter:
+        out += ",\"value\":" + std::to_string(s.counter_value);
+        break;
+      case Kind::kGauge:
+        out += ",\"value\":" + std::to_string(s.gauge_value);
+        break;
+      case Kind::kHistogram:
+        if (s.hist) {
+          const stats::Histogram& h = *s.hist;
+          out += ",\"count\":" + std::to_string(h.count());
+          out += ",\"p50\":";
+          append_double(out, h.percentile(50.0));
+          out += ",\"p99\":";
+          append_double(out, h.percentile(99.0));
+          out += ",\"max\":";
+          append_double(out, h.max_seen());
+          out += ",\"sum\":";
+          append_double(out, h.sum());
+        }
+        break;
+    }
+    out += '}';
+  }
+  out += "]}\n";
+  return out;
+}
+
 }  // namespace tart::obs

@@ -15,6 +15,7 @@
 //     bucket with a captured exemplar (the newest in its ring)
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -65,5 +66,13 @@ inline constexpr const char* kPrometheusContentType =
 [[nodiscard]] std::string render_status_json(
     const core::StatusReport& report,
     const std::vector<Sample>* samples = nullptr);
+
+/// One JSONL time-series line ("{"ts_ms":..,"metrics":{..},"series":[..]}"
+/// plus a newline): the snapshot's scalar fields and every sample, with
+/// histograms reduced to count/p50/p99/max/sum. `tart-obs --series=FILE`
+/// appends one per poll round of GET /obs.
+[[nodiscard]] std::string render_series_line(
+    std::int64_t ts_ms, const core::MetricsSnapshot& snap,
+    const std::vector<Sample>& series);
 
 }  // namespace tart::obs

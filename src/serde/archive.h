@@ -163,6 +163,15 @@ class Reader {
     return static_cast<std::int64_t>(z >> 1) ^ -static_cast<std::int64_t>(z & 1);
   }
 
+  /// Element count of a length-prefixed sequence. Every element takes at
+  /// least one byte, so a count above the bytes left is corruption —
+  /// refused here, before a decoder reserves memory for it.
+  [[nodiscard]] std::uint64_t read_count() {
+    const std::uint64_t n = read_varint();
+    if (n > remaining()) throw DecodeError("count exceeds buffer");
+    return n;
+  }
+
   [[nodiscard]] bool read_bool() { return read_u8() != 0; }
 
   [[nodiscard]] double read_double() {
@@ -195,7 +204,7 @@ class Reader {
 
  private:
   void require(std::uint64_t n) const {
-    if (pos_ + n > size_) throw DecodeError("buffer underrun");
+    if (n > size_ - pos_) throw DecodeError("buffer underrun");
   }
   const std::byte* data_;
   std::size_t size_;
@@ -239,7 +248,7 @@ void encode_value(Writer& w, const std::vector<T>& v) {
 
 template <typename T>
 void decode_value(Reader& r, std::vector<T>& v) {
-  const auto n = r.read_varint();
+  const auto n = r.read_count();
   v.clear();
   v.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {

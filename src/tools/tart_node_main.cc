@@ -2,9 +2,8 @@
 //
 //   tart-node <deployment.conf> <partition> [--log-dir=DIR] [--trace=FILE]
 //             [--http=ADDR|PORT] [--no-group-commit] [--exemplars]
-//             [--sample=FILE] [--sample-interval-ms=N]
 //             [--gauge-interval-ms=N] [--push=ADDR[,INTERVALMS]]
-//             [--durable] [--checkpoint-interval-ms=N] [--checkpoint-bytes=N]
+//             [--checkpoint-interval-ms=N] [--checkpoint-bytes=N]
 //             [--checkpoint-keep=K] [--segment-bytes=N]
 //             [--migrate-crash-at=STAGE] [--verbose]
 //
@@ -15,12 +14,21 @@
 // node's only operator surface. It runs until POST /shutdown or
 // SIGINT/SIGTERM.
 //
-// With --log-dir, external inputs are write-through persisted; restarting
-// the node over the same directory cold-restarts it from stable storage:
-// logged inputs replay, downstream peers discard the duplicates by
-// timestamp, and the stream continues — the paper's transparent-recovery
-// story (§II.F) demonstrated across real processes (see
-// scripts/net_soak.sh, which SIGKILLs a node mid-run).
+// With --log-dir, the node keeps its external input log in rotated
+// segments, writes durable checkpoints (docs/RECOVERY.md) and compacts the
+// log below the newest one. Restarting the node over the same directory
+// restores that checkpoint and replays only the log suffix past it, with
+// outputs suppressed; downstream peers discard duplicates by timestamp and
+// the stream continues — the paper's transparent-recovery story (§II.F)
+// demonstrated across real processes (see scripts/net_soak.sh, which
+// SIGKILLs a node mid-run). Checkpoints fire on demand (POST /checkpoint)
+// and, with --checkpoint-interval-ms / --checkpoint-bytes, automatically;
+// --checkpoint-keep and --segment-bytes tune retention. These four flags
+// require --log-dir (exit status 2 without it). --durable is accepted and
+// ignored: a log directory always means checkpoint + segmented log.
+//
+// A one-partition deployment file (every component placed on one
+// partition) runs a complete single-process node.
 //
 // With --http, the node serves the HTTP gateway (docs/GATEWAY.md): inject,
 // close, drain, outputs, checkpoint, migrate, shutdown, and the telemetry
@@ -33,13 +41,6 @@
 // With --push=ADDR, the node POSTs its GET /obs report (metrics, registry
 // samples, status) to a collector — `tart-obs --listen` — every interval,
 // for deployments where the collector cannot dial the nodes.
-//
-// With --durable (requires --log-dir), the node writes durable checkpoints
-// (docs/RECOVERY.md), compacts its external log below the newest durable
-// checkpoint, and restarts fast: checkpoint restore + suffix-only replay
-// with outputs suppressed instead of a full cold replay. Checkpoints fire
-// on demand (POST /checkpoint) and, with
-// --checkpoint-interval-ms / --checkpoint-bytes, automatically.
 //
 // Live migration (docs/PLACEMENT.md): POST /migrate?component=C&to=NODE
 // moves a component to another node with the staged VT-barrier protocol.
@@ -69,9 +70,8 @@ int usage() {
   std::fprintf(stderr,
                "usage: tart-node <deployment.conf> <partition> "
                "[--log-dir=DIR] [--trace=FILE] [--http=ADDR|PORT] "
-               "[--no-group-commit] [--exemplars] [--sample=FILE] "
-               "[--sample-interval-ms=N] [--gauge-interval-ms=N] "
-               "[--push=ADDR[,INTERVALMS]] [--durable] "
+               "[--no-group-commit] [--exemplars] [--gauge-interval-ms=N] "
+               "[--push=ADDR[,INTERVALMS]] "
                "[--checkpoint-interval-ms=N] [--checkpoint-bytes=N] "
                "[--checkpoint-keep=K] [--segment-bytes=N] "
                "[--migrate-crash-at=STAGE] [--verbose]\n");
@@ -90,6 +90,7 @@ int main(int argc, char** argv) {
   const std::string config_path = argv[1];
   const std::string partition = argv[2];
   tart::net::HostOptions options;
+  const char* durability_flag = nullptr;  // last one given, if any
   bool verbose = false;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -101,15 +102,6 @@ int main(int argc, char** argv) {
       options.http_addr = http_addr_of(arg.substr(std::strlen("--http=")));
     } else if (arg == "--no-group-commit") {
       options.http_group_commit = false;
-    } else if (arg.rfind("--sample=", 0) == 0) {
-      options.sample_path = arg.substr(std::strlen("--sample="));
-    } else if (arg.rfind("--sample-interval-ms=", 0) == 0) {
-      options.sample_interval_ms =
-          std::atoi(arg.c_str() + std::strlen("--sample-interval-ms="));
-      if (options.sample_interval_ms <= 0) {
-        std::fprintf(stderr, "tart-node: bad --sample-interval-ms\n");
-        return usage();
-      }
     } else if (arg == "--exemplars") {
       options.http_exemplars = true;
     } else if (arg.rfind("--gauge-interval-ms=", 0) == 0) {
@@ -136,9 +128,9 @@ int main(int argc, char** argv) {
         return usage();
       }
     } else if (arg == "--durable") {
-      options.durability.enabled = true;
+      // Accepted for older scripts; a log directory is always durable.
     } else if (arg.rfind("--checkpoint-interval-ms=", 0) == 0) {
-      options.durability.enabled = true;
+      durability_flag = "--checkpoint-interval-ms";
       options.durability.interval_ms =
           std::atoi(arg.c_str() + std::strlen("--checkpoint-interval-ms="));
       if (options.durability.interval_ms <= 0) {
@@ -146,7 +138,7 @@ int main(int argc, char** argv) {
         return usage();
       }
     } else if (arg.rfind("--checkpoint-bytes=", 0) == 0) {
-      options.durability.enabled = true;
+      durability_flag = "--checkpoint-bytes";
       options.durability.bytes_trigger = static_cast<std::uint64_t>(
           std::atoll(arg.c_str() + std::strlen("--checkpoint-bytes=")));
       if (options.durability.bytes_trigger == 0) {
@@ -154,6 +146,7 @@ int main(int argc, char** argv) {
         return usage();
       }
     } else if (arg.rfind("--checkpoint-keep=", 0) == 0) {
+      durability_flag = "--checkpoint-keep";
       options.durability.keep_last = static_cast<std::uint64_t>(
           std::atoll(arg.c_str() + std::strlen("--checkpoint-keep=")));
       if (options.durability.keep_last == 0) {
@@ -161,6 +154,7 @@ int main(int argc, char** argv) {
         return usage();
       }
     } else if (arg.rfind("--segment-bytes=", 0) == 0) {
+      durability_flag = "--segment-bytes";
       options.durability.segment_bytes = static_cast<std::uint64_t>(
           std::atoll(arg.c_str() + std::strlen("--segment-bytes=")));
       if (options.durability.segment_bytes == 0) {
@@ -180,6 +174,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "tart-node: unknown argument '%s'\n", arg.c_str());
       return usage();
     }
+  }
+  if (durability_flag != nullptr && options.log_dir.empty()) {
+    std::fprintf(stderr, "tart-node: %s requires --log-dir\n",
+                 durability_flag);
+    return 2;
   }
   tart::set_log_level(verbose ? tart::LogLevel::kInfo
                               : tart::LogLevel::kError);

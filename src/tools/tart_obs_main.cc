@@ -41,8 +41,9 @@
 // pushing can be mixed freely; a node heard from both ways would be
 // double-counted, so point --push at nodes the console does not poll.
 //
-// --series=FILE appends one JSONL line per poll round (same shape as the
-// node-side --sample file) for offline plotting.
+// --series=FILE appends one JSONL line per poll round of GET /obs
+// (obs::render_series_line: merged scalars plus every series, histograms
+// as count/p50/p99/max/sum) for offline plotting — the one file exporter.
 //
 // --scrape mode is a health gate: GET /metrics must lint clean against the
 // Prometheus conventions (obs::lint_exposition) and contain the per-wire
@@ -75,7 +76,6 @@
 #include "obs/exposition.h"
 #include "obs/node_report.h"
 #include "obs/registry.h"
-#include "obs/sampler.h"
 
 namespace {
 
@@ -641,7 +641,7 @@ int run_console_mode(const std::vector<std::string>& addrs, bool once,
     std::vector<std::string> down;
     std::size_t reachable = 0;
     // Each node is labelled by its partition name (its address when it
-    // reports none, e.g. a single-process tart-gateway).
+    // reports none).
     const auto add = [&](NodeReport report, const std::string& addr) {
       total += report.metrics;
       per_node.push_back(std::move(report.samples));
@@ -701,7 +701,7 @@ int run_console_mode(const std::vector<std::string>& addrs, bool once,
                              std::chrono::system_clock::now().time_since_epoch())
                              .count();
       const std::string line =
-          tart::obs::Sampler::render_line(ts_ms, total, merged);
+          tart::obs::render_series_line(ts_ms, total, merged);
       std::fwrite(line.data(), 1, line.size(), series);
       std::fflush(series);
     }

@@ -56,14 +56,14 @@ Payload Payload::decode(serde::Reader& r) {
     case kString:
       return Payload(r.read_string());
     case kInts: {
-      const auto n = r.read_varint();
+      const auto n = r.read_count();
       std::vector<std::int64_t> v;
       v.reserve(n);
       for (std::uint64_t i = 0; i < n; ++i) v.push_back(r.read_svarint());
       return Payload(std::move(v));
     }
     case kStrings: {
-      const auto n = r.read_varint();
+      const auto n = r.read_count();
       std::vector<std::string> v;
       v.reserve(n);
       for (std::uint64_t i = 0; i < n; ++i) v.push_back(r.read_string());

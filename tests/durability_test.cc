@@ -1,24 +1,31 @@
 // Tests for the durability subsystem (docs/RECOVERY.md): rotated-segment
 // stable storage, CRC-protected durable checkpoint files, checkpoint-gated
-// compaction accounting in the external message log, and tiered fast
-// restart of a whole in-process deployment — including crash-during-
-// checkpoint (torn newest file) fallback.
+// compaction accounting in the external message log, tiered fast restart
+// of a whole in-process deployment — including crash-during-checkpoint
+// (torn newest file) fallback — and fuzzing of every on-disk decoder a
+// restart reads.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <thread>
 
 #include "apps/wordcount.h"
+#include "checkpoint/snapshot.h"
+#include "common/logging.h"
+#include "common/rng.h"
 #include "core/runtime.h"
 #include "durability/checkpoint_file.h"
 #include "durability/manager.h"
 #include "durability/replay.h"
 #include "estimator/estimator.h"
+#include "log/fault_log.h"
 #include "log/message_log.h"
 #include "log/segmented_store.h"
 
@@ -42,6 +49,15 @@ std::vector<std::byte> bytes(std::initializer_list<int> values) {
   std::vector<std::byte> out;
   for (const int v : values) out.push_back(static_cast<std::byte>(v));
   return out;
+}
+
+Message external(WireId wire, std::int64_t vt, std::uint64_t seq) {
+  Message m;
+  m.wire = wire;
+  m.vt = VirtualTime(vt);
+  m.seq = seq;
+  m.payload = Payload(static_cast<std::int64_t>(seq));
+  return m;
 }
 
 // --- SegmentedStore ----------------------------------------------------------
@@ -147,6 +163,9 @@ durability::DurableCheckpoint sample_checkpoint(std::uint64_t covered) {
   plan.base.state = bytes({42, 43});
   plan.base.inputs.push_back(
       checkpoint::InputPosition{WireId(4), VirtualTime(900), covered});
+  plan.base.outputs.push_back(checkpoint::OutputPosition{
+      WireId(5), 2, VirtualTime(800), VirtualTime(700),
+      {external(WireId(5), 700, 1)}, bytes({9})});
   checkpoint::ComponentSnapshot delta;
   delta.component = ComponentId(2);
   delta.version = 4;
@@ -254,15 +273,6 @@ TEST_F(CheckpointFileTest, DeploymentFingerprintMismatchSkipped) {
 
 // --- Message-log compaction accounting ---------------------------------------
 
-Message external(WireId wire, std::int64_t vt, std::uint64_t seq) {
-  Message m;
-  m.wire = wire;
-  m.vt = VirtualTime(vt);
-  m.seq = seq;
-  m.payload = Payload(static_cast<std::int64_t>(seq));
-  return m;
-}
-
 TEST(MessageLogCompactionTest, CoveredRecordIndexStopsAtFirstUncovered) {
   log::ExternalMessageLog log;
   const WireId w0(0), w1(1);
@@ -355,7 +365,6 @@ core::RuntimeConfig durable_config(const std::string& log_dir) {
   core::RuntimeConfig config;
   config.log_dir = log_dir;
   config.checkpoint.every_n_messages = 3;
-  config.durability.enabled = true;
   config.durability.segment_bytes = 256;  // force rotation in small tests
   return config;
 }
@@ -527,6 +536,464 @@ TEST_F(TieredRestartTest, IntervalTriggerWritesCheckpointsAutomatically) {
   rt.stop();
   EXPECT_FALSE(
       durability::CheckpointReader::list(log_dir).empty());
+}
+
+// --- Cold restart of a whole deployment from its log directory --------------
+
+using Observed = std::vector<std::pair<std::int64_t, std::int64_t>>;
+
+Observed observed(core::Runtime& rt, WireId out) {
+  Observed result;
+  for (const auto& r : rt.output_records(out))
+    result.emplace_back(r.vt.ticks(), r.payload.as_int());
+  return result;
+}
+
+core::RuntimeConfig log_dir_config(const std::string& log_dir) {
+  core::RuntimeConfig config;
+  config.log_dir = log_dir;
+  return config;
+}
+
+class ColdRestartTest : public DurabilityTest {};
+
+TEST_F(ColdRestartTest, WholeDeploymentRecoversFromLogDirectory) {
+  const core::RuntimeConfig config = log_dir_config(dir_.string());
+  Observed first_run;
+  std::uint64_t first_fingerprint = 0;
+  {
+    DurableApp app;
+    core::Runtime rt(app.topo, app.placement(), config);
+    rt.start();
+    for (int i = 0; i < 10; ++i) inject_pair(rt, app, i);
+    ASSERT_TRUE(rt.drain());
+    first_run = observed(rt, app.out);
+    first_fingerprint = rt.state_fingerprint(app.merger);
+    rt.stop();
+    // The process "dies" here: all in-memory state (including the passive
+    // replica) is gone; only the log directory survives.
+  }
+
+  DurableApp app;
+  core::Runtime rt(app.topo, app.placement(), config);
+  rt.start();  // replays the recovered log automatically
+  ASSERT_TRUE(rt.drain());
+  EXPECT_EQ(observed(rt, app.out), first_run);
+  EXPECT_EQ(rt.state_fingerprint(app.merger), first_fingerprint);
+  rt.stop();
+}
+
+TEST_F(ColdRestartTest, RestartContinuesAcceptingNewInput) {
+  const core::RuntimeConfig config = log_dir_config(dir_.string());
+  {
+    DurableApp app;
+    core::Runtime rt(app.topo, app.placement(), config);
+    rt.start();
+    rt.inject_at(app.in1, VirtualTime(1000), apps::sentence({"x", "y"}));
+    rt.inject_at(app.in2, VirtualTime(900), apps::sentence({"z"}));
+    ASSERT_TRUE(rt.drain());
+    rt.stop();
+  }
+  DurableApp app;
+  core::Runtime rt(app.topo, app.placement(), config);
+  rt.start();
+  // New injections continue the per-wire sequence past the recovered log.
+  rt.inject_at(app.in1, VirtualTime(10'000'000), apps::sentence({"x"}));
+  ASSERT_TRUE(rt.drain());
+  EXPECT_EQ(rt.output_records(app.out).size(), 3u);
+  EXPECT_EQ(rt.external_log().size(app.in1), 2u);
+  rt.stop();
+}
+
+TEST_F(ColdRestartTest, ResumesFromPersistedCheckpoints) {
+  core::RuntimeConfig config = log_dir_config(dir_.string());
+  config.checkpoint.every_n_messages = 3;
+
+  std::uint64_t fingerprint = 0;
+  std::int64_t final_total = 0;
+  {
+    DurableApp app;
+    core::Runtime rt(app.topo, app.placement(), config);
+    rt.start();
+    for (int i = 0; i < 12; ++i) inject_pair(rt, app, i);
+    // Settle (drain would close the inputs for good), then persist the
+    // soft checkpoints in a durable checkpoint file.
+    settle(rt);
+    const auto ckpt = rt.checkpoint_manager()->checkpoint_now();
+    ASSERT_TRUE(ckpt.ok) << ckpt.error;
+    ASSERT_TRUE(rt.drain());
+    fingerprint = rt.state_fingerprint(app.merger);
+    final_total = observed(rt, app.out).back().second;
+    rt.stop();
+  }
+
+  // Cold restart 1: checkpoints come back from the checkpoint file, the
+  // log suffix replays, and the deployment ends bit-identical.
+  {
+    DurableApp app;
+    core::Runtime rt(app.topo, app.placement(), config);
+    EXPECT_GT(rt.replica().latest_version(app.merger), 0u);
+    rt.start();
+    ASSERT_TRUE(rt.drain());
+    EXPECT_EQ(rt.state_fingerprint(app.merger), fingerprint);
+    rt.stop();
+  }
+
+  // Cold restart 2: the restarted deployment keeps running — repeated
+  // words hit the restored vocabulary, so the total strictly grows.
+  DurableApp app;
+  core::Runtime rt(app.topo, app.placement(), config);
+  rt.start();
+  rt.inject_at(app.in1, VirtualTime(100'000'000),
+               apps::sentence({"a", "b", "c"}));
+  ASSERT_TRUE(rt.drain());
+  const auto records = observed(rt, app.out);
+  ASSERT_FALSE(records.empty());
+  EXPECT_GT(records.back().second, final_total);
+  rt.stop();
+}
+
+// A log directory written by the older unsegmented mode — one
+// messages.log of encoded Messages, a replica.log of soft checkpoints and a
+// faults.log — upgrades in place: the log is adopted as segment 0, the
+// stale replica.log is ignored (plans live only in checkpoint files), and
+// the restart replays the whole log to the never-restarted result.
+TEST_F(ColdRestartTest, UpgradesUnsegmentedLogDirectory) {
+  const std::string log_dir = dir_.string();
+  constexpr int kPairs = 10;
+  Observed reference;
+  std::uint64_t reference_fingerprint = 0;
+  {
+    DurableApp app;
+    core::Runtime rt(app.topo, app.placement(), core::RuntimeConfig{});
+    rt.start();
+    for (int i = 0; i < kPairs; ++i) inject_pair(rt, app, i);
+    ASSERT_TRUE(rt.drain());
+    reference = observed(rt, app.out);
+    reference_fingerprint = rt.state_fingerprint(app.merger);
+
+    // The older on-disk layout, record for record.
+    log::FileStableStore messages(log_dir + "/messages.log");
+    for (const WireId wire : {app.in1, app.in2})
+      for (const Message& m : rt.external_log().replay_from_seq(wire, 0)) {
+        serde::Writer w;
+        m.encode(w);
+        ASSERT_TRUE(messages.append(w.bytes()));
+      }
+    checkpoint::ComponentSnapshot stale;
+    stale.component = app.merger;
+    stale.version = 1;
+    stale.state = bytes({1, 2, 3});
+    serde::Writer w;
+    stale.encode(w);
+    ASSERT_TRUE(
+        log::FileStableStore(log_dir + "/replica.log").append(w.bytes()));
+    // A recalibration far past the workload: reloaded, never applied.
+    log::DeterminismFaultLog faults;
+    log::FileStableStore fault_store(log_dir + "/faults.log");
+    faults.attach_store(&fault_store);
+    faults.append(log::FaultRecord{app.s1, 1, VirtualTime(1'000'000'000'000),
+                                   {0.0, 61000.0}});
+    rt.stop();
+  }
+
+  {
+    DurableApp app;
+    core::Runtime rt(app.topo, app.placement(), log_dir_config(log_dir));
+    EXPECT_FALSE(std::filesystem::exists(log_dir + "/messages.log"));
+    EXPECT_TRUE(std::filesystem::exists(
+        log_dir + "/messages.00000000000000000000.seg"));
+    EXPECT_EQ(rt.recovery_info().suffix_records, 2u * kPairs);
+    EXPECT_FALSE(rt.recovery_info().from_checkpoint);
+    EXPECT_EQ(rt.replica().latest_version(app.merger), 0u);
+    EXPECT_EQ(rt.fault_log().total_records(), 1u);
+    rt.start();
+    ASSERT_TRUE(rt.drain());
+    EXPECT_EQ(observed(rt, app.out), reference);
+    EXPECT_EQ(rt.state_fingerprint(app.merger), reference_fingerprint);
+    rt.stop();
+  }
+
+  // The upgraded directory keeps working: new injections continue the
+  // per-wire sequence past the adopted log.
+  DurableApp app;
+  core::Runtime rt(app.topo, app.placement(), log_dir_config(log_dir));
+  rt.start();
+  rt.inject_at(app.in1, VirtualTime(100'000'000), apps::sentence({"a"}));
+  ASSERT_TRUE(rt.drain());
+  EXPECT_EQ(rt.external_log().next_seq(app.in1), kPairs + 1u);
+  EXPECT_EQ(rt.external_log().size(app.in1), kPairs + 1u);
+  EXPECT_EQ(observed(rt, app.out).size(), reference.size() + 1);
+  rt.stop();
+}
+
+// --- Fuzz: the on-disk decoders a restart reads (ASan-backed) ----------------
+//
+// Checkpoint files, segment files, the log records inside them and
+// determinism-fault records: every truncation prefix and seeded random byte
+// mutations of a valid encoding must either decode or fail typed — a
+// refused checkpoint (nullopt), a shorter intact segment prefix, or
+// serde::DecodeError — never crash or allocate without bound.
+
+using Bytes = std::vector<std::byte>;
+
+constexpr int kMutationRounds = 2000;
+
+/// Overwrites 1-4 random bytes with random values; one round in four also
+/// splices in a maximal varint (up to 2^64-1), so length and count prefixes
+/// meet the values that overflow bounds checks or huge allocations.
+Bytes mutate(Bytes in, Rng& rng) {
+  const auto flips = rng.uniform_int(1, 4);
+  for (std::int64_t f = 0; f < flips; ++f)
+    in[rng.bounded(in.size())] = static_cast<std::byte>(rng.bounded(256));
+  if (rng.bounded(4) == 0) {
+    Bytes huge(9, std::byte{0xFF});
+    huge.push_back(static_cast<std::byte>(1 + rng.bounded(127)));
+    const auto at = static_cast<std::ptrdiff_t>(rng.bounded(in.size()));
+    in.insert(in.begin() + at, huge.begin(), huge.end());
+  }
+  return in;
+}
+
+Bytes read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::string raw((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  const auto* p = reinterpret_cast<const std::byte*>(raw.data());
+  return Bytes(p, p + raw.size());
+}
+
+void write_file(const std::string& path, const Bytes& content) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(content.data()),
+            static_cast<std::streamsize>(content.size()));
+}
+
+template <typename T>
+Bytes encode(const T& value) {
+  serde::Writer w;
+  value.encode(w);
+  return w.take();
+}
+
+/// One encoded external message per payload kind, alternating two wires.
+std::vector<Bytes> sample_records() {
+  const Payload payloads[] = {
+      Payload("sentence one"), Payload(std::int64_t{-42}),
+      Payload(std::vector<std::int64_t>{1, 2, 300000}),
+      Payload(std::vector<std::string>{"a", "bb"}), Payload(bytes({7, 9})),
+      Payload(2.5), Payload()};
+  std::vector<Bytes> records;
+  for (std::uint64_t i = 0; i < std::size(payloads); ++i) {
+    Message m = external(WireId(i % 2), 1000 * static_cast<std::int64_t>(i + 1),
+                         i / 2);
+    m.payload = payloads[i];
+    records.push_back(encode(m));
+  }
+  return records;
+}
+
+/// A checkpoint file around `body` with `file`'s magic and version and a
+/// matching FNV trailer — the checksum passes, so the body decoder itself
+/// is what gets exercised.
+Bytes sealed_file(const Bytes& file, const Bytes& body) {
+  serde::Writer w;
+  w.write_raw(file.data(), 8);
+  w.write_u64(body.size());
+  w.write_raw(body.data(), body.size());
+  w.write_u64(serde::fingerprint(body));
+  return w.take();
+}
+
+class DiskFuzzTest : public DurabilityTest {
+ protected:
+  void SetUp() override {
+    DurabilityTest::SetUp();
+    saved_level_ = log_level();
+    set_log_level(LogLevel::kOff);  // every damaged segment logs its repair
+  }
+  void TearDown() override {
+    set_log_level(saved_level_);
+    DurabilityTest::TearDown();
+  }
+
+  std::string write_checkpoint() {
+    durability::CheckpointWriter writer(dir_.string(), 1);
+    durability::DurableCheckpoint c = sample_checkpoint(6);
+    EXPECT_GT(writer.write(c), 0u);
+    return durability::checkpoint_path(dir_.string(), c.id);
+  }
+
+  /// Writes sample_records() through a store with small segments, then
+  /// reopens the store over each damaged version of the active (last)
+  /// segment that `variants` makes. Each must keep an intact prefix of the
+  /// records (sealed segments whole) and accept an append after the cut.
+  void fuzz_active_segment(
+      const std::function<std::vector<Bytes>(const Bytes&)>& variants) {
+    const std::string dir = dir_.string();
+    const std::vector<Bytes> original = sample_records();
+    {
+      log::SegmentedStore store(dir, "messages", {.segment_bytes = 160});
+      for (const Bytes& r : original) ASSERT_TRUE(store.append(r));
+      ASSERT_GT(store.segment_count(), 1u);
+    }
+    std::vector<std::string> files;
+    for (const auto& entry : std::filesystem::directory_iterator(dir))
+      files.push_back(entry.path().string());
+    std::sort(files.begin(), files.end());  // by first index
+    const std::string active = files.back();
+    const std::size_t sealed =
+        original.size() - log::FileStableStore::scan(active).size();
+    const Bytes extra = bytes({0xAF, 0x7E});
+
+    const std::vector<Bytes> damaged = variants(read_file(active));
+    for (std::size_t i = 0; i < damaged.size(); ++i) {
+      const std::string what = "variant " + std::to_string(i);
+      // The append below may rotate: drop any segment it created.
+      for (const auto& entry : std::filesystem::directory_iterator(dir))
+        if (entry.path().string() > active) std::filesystem::remove(entry);
+      write_file(active, damaged[i]);
+      std::size_t kept = 0;
+      {
+        log::SegmentedStore store(dir, "messages");
+        const auto got = store.scan_all();
+        ASSERT_GE(got.size(), sealed) << what;
+        ASSERT_LE(got.size(), original.size()) << what;
+        for (std::size_t r = 0; r < got.size(); ++r)
+          ASSERT_EQ(got[r], original[r]) << what << " record " << r;
+        kept = got.size();
+        ASSERT_TRUE(store.append(extra)) << what;
+      }
+      const auto got = log::SegmentedStore(dir, "messages").scan_all();
+      ASSERT_EQ(got.size(), kept + 1) << what;
+      EXPECT_EQ(got.back(), extra) << what;
+    }
+  }
+
+  LogLevel saved_level_ = LogLevel::kWarn;
+};
+
+TEST_F(DiskFuzzTest, CheckpointFileEveryTruncationIsRefused) {
+  const std::string path = write_checkpoint();
+  const Bytes file = read_file(path);
+  const Bytes body(file.begin() + 16, file.end() - 8);
+  const auto whole = durability::CheckpointReader::load(path);
+  ASSERT_TRUE(whole.has_value());
+  EXPECT_EQ(encode(*whole), body);
+
+  // Torn files: every strict prefix fails the frame or the checksum.
+  for (std::size_t cut = 0; cut < file.size(); ++cut) {
+    write_file(path, Bytes(file.begin(), file.begin() + cut));
+    EXPECT_FALSE(durability::CheckpointReader::load(path)) << "prefix " << cut;
+  }
+  // Truncated bodies re-sealed with a matching checksum: the body decoder
+  // must run out of bytes and refuse, at every cut.
+  for (std::size_t cut = 0; cut < body.size(); ++cut) {
+    write_file(path, sealed_file(file, Bytes(body.begin(), body.begin() + cut)));
+    EXPECT_FALSE(durability::CheckpointReader::load(path)) << "body " << cut;
+  }
+}
+
+TEST_F(DiskFuzzTest, CheckpointBodyMutationsDecodeOrAreRefused) {
+  const std::string path = write_checkpoint();
+  const Bytes file = read_file(path);
+  const Bytes body(file.begin() + 16, file.end() - 8);
+  Rng rng(0xC4EC4B01);
+  int decoded = 0;
+  for (int round = 0; round < kMutationRounds; ++round) {
+    write_file(path, sealed_file(file, mutate(body, rng)));
+    const auto loaded = durability::CheckpointReader::load(path);
+    if (!loaded) continue;
+    ++decoded;
+    // Whatever decoded re-encodes to a body the reader accepts again.
+    write_file(path, sealed_file(file, encode(*loaded)));
+    EXPECT_TRUE(durability::CheckpointReader::load(path));
+  }
+  EXPECT_GT(decoded, 0);
+  EXPECT_LT(decoded, kMutationRounds);
+}
+
+TEST_F(DiskFuzzTest, SegmentTruncationsKeepPrefixAndAcceptAppends) {
+  fuzz_active_segment([](const Bytes& active) {
+    std::vector<Bytes> prefixes;
+    for (std::size_t cut = 0; cut < active.size(); ++cut)
+      prefixes.emplace_back(active.begin(), active.begin() + cut);
+    return prefixes;
+  });
+}
+
+TEST_F(DiskFuzzTest, SegmentMutationsKeepPrefixAndAcceptAppends) {
+  Rng rng(0x5E6F11E5);
+  fuzz_active_segment([&rng](const Bytes& active) {
+    std::vector<Bytes> mutants;
+    for (int round = 0; round < 300; ++round)
+      mutants.push_back(mutate(active, rng));
+    return mutants;
+  });
+}
+
+TEST_F(DiskFuzzTest, LogRecordTruncationsFailTypedAndLeaveLogEmpty) {
+  const std::vector<Bytes> records = sample_records();
+  {
+    log::ExternalMessageLog log;
+    log.load_records(records, 0);
+    EXPECT_EQ(log.total_size(), records.size());
+  }
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    for (std::size_t cut = 0; cut < records[i].size(); ++cut) {
+      std::vector<Bytes> damaged = records;
+      damaged[i].resize(cut);
+      log::ExternalMessageLog log;
+      EXPECT_THROW(log.load_records(damaged, 0), serde::DecodeError)
+          << "record " << i << " cut " << cut;
+      EXPECT_EQ(log.total_size(), 0u);
+      EXPECT_EQ(log.next_seq(WireId(0)), 0u);
+    }
+  }
+}
+
+TEST_F(DiskFuzzTest, LogRecordMutationsLoadOrFailTyped) {
+  const std::vector<Bytes> records = sample_records();
+  Rng rng(0x10C4EC0D);
+  int loaded = 0;
+  for (int round = 0; round < kMutationRounds; ++round) {
+    std::vector<Bytes> damaged = records;
+    const std::size_t i = rng.bounded(damaged.size());
+    damaged[i] = mutate(damaged[i], rng);
+    log::ExternalMessageLog log;
+    try {
+      log.load_records(damaged, 0);
+      EXPECT_EQ(log.total_size(), records.size());
+      ++loaded;
+    } catch (const serde::DecodeError&) {
+      EXPECT_EQ(log.total_size(), 0u);  // a failed load changes nothing
+    }
+  }
+  EXPECT_GT(loaded, 0);
+  EXPECT_LT(loaded, kMutationRounds);
+}
+
+TEST_F(DiskFuzzTest, FaultRecordsDecodeOrFailTyped) {
+  const Bytes record = encode(log::FaultRecord{
+      ComponentId(3), 2, VirtualTime(90'000), {0.5, 61000.0, -3.25}});
+  for (std::size_t cut = 0; cut < record.size(); ++cut) {
+    serde::Reader r(record.data(), cut);
+    EXPECT_THROW((void)log::FaultRecord::decode(r), serde::DecodeError)
+        << "prefix " << cut;
+  }
+  Rng rng(0xFA017);
+  int decoded = 0;
+  for (int round = 0; round < kMutationRounds; ++round) {
+    const Bytes damaged = mutate(record, rng);
+    serde::Reader r(damaged);
+    try {
+      (void)log::FaultRecord::decode(r);
+      ++decoded;
+    } catch (const serde::DecodeError&) {
+    }
+  }
+  EXPECT_GT(decoded, 0);
+  EXPECT_LT(decoded, kMutationRounds);
 }
 
 }  // namespace

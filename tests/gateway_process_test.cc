@@ -1,5 +1,5 @@
 // HTTP-only end-to-end over real processes: the ingress gateway's two big
-// promises, checked against forked tart-node / tart-gateway binaries.
+// promises, checked against forked tart-node binaries.
 //
 //   1. Placement transparency through the HTTP face: a two-node wordcount
 //      deployment driven ONLY over HTTP (inject, drain, fetch outputs, the
@@ -7,7 +7,8 @@
 //      in-process baseline — including after SIGKILL-ing the ingress node
 //      mid-run and cold restarting it over the same log directory (§II.F).
 //   2. Log-before-ack under a crash DURING ingest: concurrent clients blast
-//      unique tokens at a tart-gateway while it is SIGKILLed mid-load.
+//      unique tokens at a one-partition tart-node while it is SIGKILLed
+//      mid-load.
 //      After restart + replay, every acked token is present exactly once
 //      and every un-acked token is absent or present once — never
 //      duplicated, because the ack is issued only after the fsync.
@@ -156,10 +157,12 @@ TEST(GatewayProcessTest, CrashDuringIngestKeepsAckedExactlyOnce) {
   const std::string dir = make_temp_dir();
   const std::string log_dir = dir + "/log";
   ASSERT_EQ(mkdir(log_dir.c_str(), 0755), 0);
-  const std::string addr = "127.0.0.1:" + std::to_string(free_port());
-  const std::vector<std::string> args = {"chain", "stages=2",
-                                         "--http=" + addr,
-                                         "--log-dir=" + log_dir};
+  // One partition hosting the whole chain: a complete single-process node.
+  const Deployment d = write_deployment(
+      dir, {"solo"}, "place stage1 = solo\nplace stage2 = solo\n",
+      "topology = chain\nparam stages = 2\n");
+  const std::string& addr = d.http.at("solo");
+  const std::vector<std::string> flags = {"--log-dir=" + log_dir};
 
   std::mutex mu;
   std::vector<std::string> acked;  // tokens whose 200 arrived
@@ -168,7 +171,7 @@ TEST(GatewayProcessTest, CrashDuringIngestKeepsAckedExactlyOnce) {
   std::atomic<bool> stop{false};
 
   {
-    Proc gw(TART_GATEWAY_BIN, args);
+    NodeProc node(d, "solo", flags);
     ASSERT_EQ(NodeClient::connect(addr).get("/healthz").status, 200);
 
     // Concurrent clients blast unique tokens until the server dies under
@@ -205,8 +208,8 @@ TEST(GatewayProcessTest, CrashDuringIngestKeepsAckedExactlyOnce) {
     // discipline exists for. The clients are joined before any assertion
     // can return from the test.
     const bool loaded = poll_until(15s, [&] { return ack_count >= 200; });
-    gw.kill9();
-    gw.reap();
+    node.kill9();
+    node.reap();
     stop.store(true);
     for (auto& c : clients) c.join();
     ASSERT_TRUE(loaded) << "only " << ack_count.load()
@@ -217,7 +220,7 @@ TEST(GatewayProcessTest, CrashDuringIngestKeepsAckedExactlyOnce) {
       << "the kill should have caught at least one request un-acked";
 
   // Cold restart over the same log: replay everything, then read outputs.
-  Proc gw(TART_GATEWAY_BIN, args);
+  NodeProc node(d, "solo", flags);
   auto http = NodeClient::connect(addr);
   ASSERT_TRUE(http.drain());
   std::vector<OutputRecord> lines = http.outputs("out");
@@ -244,5 +247,5 @@ TEST(GatewayProcessTest, CrashDuringIngestKeepsAckedExactlyOnce) {
   // stream itself covering every ack.
   EXPECT_GE(lines.size(), acked.size());
   http.shutdown_node();
-  EXPECT_EQ(gw.reap(), 0);
+  EXPECT_EQ(node.reap(), 0);
 }

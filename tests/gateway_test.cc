@@ -425,7 +425,7 @@ TEST_F(GatewayTest, TypedRejections) {
 
   EXPECT_EQ(c.get("/checkpoint").status, 405);
   EXPECT_EQ(c.post("/checkpoint", "").status, 503)
-      << "this fixture runs without durability; /checkpoint must say so";
+      << "this fixture runs without a log dir; /checkpoint must say so";
 
   const auto counters = gw_->counters();
   EXPECT_GT(counters.errors, 0u);

@@ -402,7 +402,6 @@ core::RuntimeConfig durable_lineage_config(const std::string& log_dir,
                                            const std::string& trace_path) {
   core::RuntimeConfig config = lineage_config(trace_path);
   config.log_dir = log_dir;
-  config.durability.enabled = true;
   return config;
 }
 

@@ -18,7 +18,8 @@
 //      killed run are recovery-equivalent (tart-trace diff --recovery);
 //   4. durability, transport and telemetry counters surface in GET /obs;
 //   5. the same holds through a durable checkpoint and tiered restart;
-//   6. `tart-node --push` ships the GET /obs report as POST /obs.
+//   6. `tart-node --push` ships the GET /obs report as POST /obs;
+//   7. checkpoint/segment flags without --log-dir are refused (exit 2).
 #include <gtest/gtest.h>
 #include <poll.h>
 #include <sys/stat.h>
@@ -38,6 +39,13 @@ Deployment write_two_node(const std::string& dir) {
                           "place sender1 = left\n"
                           "place sender2 = left\n"
                           "place merger = right\n");
+}
+
+Deployment write_solo(const std::string& dir) {
+  return write_deployment(dir, {"solo"},
+                          "place sender1 = solo\n"
+                          "place sender2 = solo\n"
+                          "place merger = solo\n");
 }
 
 }  // namespace
@@ -241,8 +249,8 @@ TEST(NetProcessTest, DurableCheckpointRestartMatchesBaseline) {
     ASSERT_EQ(mkdir(log_dir.c_str(), 0755), 0);
     // Tiny segments so the mid-run checkpoint demonstrably reclaims
     // wholly-covered ones (log stays bounded, not just covered).
-    const std::vector<std::string> durable_flags = {
-        "--log-dir=" + log_dir, "--durable", "--segment-bytes=512"};
+    const std::vector<std::string> durable_flags = {"--log-dir=" + log_dir,
+                                                    "--segment-bytes=512"};
     NodeProc right(d, "right", {"--trace=" + right_ckpt_trace});
     auto right_http = connect(d, "right");
     const std::size_t half = steps.size() / 2;
@@ -320,11 +328,7 @@ TEST(NetProcessTest, PushShipsObsReportOverHttp) {
   const std::string collector =
       "127.0.0.1:" + std::to_string(net::local_port(listener.get()));
   const std::string dir = make_temp_dir();
-  const Deployment d =
-      write_deployment(dir, {"solo"},
-                       "place sender1 = solo\n"
-                       "place sender2 = solo\n"
-                       "place merger = solo\n");
+  const Deployment d = write_solo(dir);
 
   NodeProc node(d, "solo", {"--push=" + collector + ",200"});
   auto http = connect(d, "solo");
@@ -365,4 +369,26 @@ TEST(NetProcessTest, PushShipsObsReportOverHttp) {
 
   http.shutdown_node();
   EXPECT_EQ(node.reap(), 0);
+}
+
+// Checkpoint and segment tuning only means something for a log directory:
+// given without --log-dir, each flag is a usage error (exit status 2)
+// caught before the node opens any listener — not a volatile node that
+// silently drops the flag.
+TEST(NetProcessTest, DurabilityFlagsWithoutLogDirExitTwo) {
+  const std::string dir = make_temp_dir();
+  for (const std::string flag :
+       {"--checkpoint-interval-ms=100", "--checkpoint-bytes=4096",
+        "--checkpoint-keep=2", "--segment-bytes=512"}) {
+    const Deployment d = write_solo(dir);
+    NodeProc node(d, "solo", {flag});
+    int code = -1;
+    EXPECT_TRUE(poll_until(10s, [&] { return node.try_reap(&code); }))
+        << flag << " without --log-dir started a node";
+    EXPECT_EQ(code, 2) << flag;
+    EXPECT_FALSE(gateway::BlockingHttpClient::connect(d.http.at("solo"),
+                                                      200ms)
+                     .has_value())
+        << flag << ": something is serving HTTP";
+  }
 }

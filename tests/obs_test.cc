@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -13,7 +14,6 @@
 #include "obs/exposition.h"
 #include "obs/node_report.h"
 #include "obs/registry.h"
-#include "obs/sampler.h"
 #include "serde/archive.h"
 
 namespace tart::obs {
@@ -531,21 +531,39 @@ TEST(RunnerMetrics, CountsLandInLabelledRegistryCells) {
   EXPECT_TRUE(found);
 }
 
-// --- Sampler line -----------------------------------------------------------
+// --- JSONL series line -------------------------------------------------------
 
-TEST(Sampler, RenderLineIsOneJsonObject) {
+TEST(SeriesLine, RenderIsOneJsonObjectPerLine) {
   core::MetricsSnapshot snap;
   snap.messages_processed = 2;
   Registry reg;
   reg.counter("tart_c_total", "c", {{"component", "x"}}).inc(1);
   reg.histogram("tart_h_seconds", "h", {}, 1.0, 2).record(0.5);
-  const std::string line = Sampler::render_line(1234, snap, reg.samples());
+  std::string line = render_series_line(1234, snap, reg.samples());
   EXPECT_EQ(line.back(), '\n');
   EXPECT_EQ(line.front(), '{');
   EXPECT_NE(line.find("\"ts_ms\":1234"), std::string::npos) << line;
   EXPECT_NE(line.find("\"messages_processed\":2"), std::string::npos) << line;
   EXPECT_NE(line.find("\"tart_c_total\""), std::string::npos) << line;
   EXPECT_NE(line.find("\"p50\""), std::string::npos) << line;
+
+  // Appended lines form well-formed JSONL: every line is one object with
+  // the timestamp and the scalar block.
+  std::string file;
+  for (std::int64_t ts = 0; ts < 3; ++ts) {
+    reg.counter("tart_c_total", "c", {{"component", "x"}}).inc(1);
+    file += render_series_line(ts, snap, reg.samples());
+  }
+  std::istringstream in(file);
+  std::size_t lines = 0;
+  while (std::getline(in, line)) {
+    ++lines;
+    EXPECT_EQ(line.front(), '{') << line;
+    EXPECT_EQ(line.back(), '}') << line;
+    EXPECT_NE(line.find("\"ts_ms\":"), std::string::npos) << line;
+    EXPECT_NE(line.find("\"metrics\":"), std::string::npos) << line;
+  }
+  EXPECT_EQ(lines, 3u);
 }
 
 }  // namespace

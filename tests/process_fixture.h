@@ -1,5 +1,5 @@
-// Shared fixture for the process tests: forked tart-node / tart-gateway /
-// tart-trace children, wordcount deployments over fresh loopback ports, the
+// Shared fixture for the process tests: forked tart-node / tart-trace
+// children, deployments over fresh loopback ports, the
 // single-process baseline they are compared with, and a typed client for a
 // node's HTTP gateway — the only way to operate a node.
 //
@@ -215,21 +215,23 @@ inline OutputStream baseline(const std::vector<Step>& steps) {
 
 // --- Deployments and nodes ---------------------------------------------------
 
-/// A wordcount deployment file over fresh loopback data ports, plus the
-/// HTTP address each partition's gateway will listen on.
+/// A deployment file over fresh loopback data ports, plus the HTTP address
+/// each partition's gateway will listen on.
 struct Deployment {
   std::string config_path;
   std::map<std::string, std::string> http;  ///< partition -> host:port
 };
 
-/// Writes `dir`/deploy.conf: two senders, one partition per name in
-/// `partitions`, and the given `place` lines.
-inline Deployment write_deployment(const std::string& dir,
-                                   const std::vector<std::string>& partitions,
-                                   const std::string& placement) {
+/// Writes `dir`/deploy.conf: the `topology` lines (default: wordcount with
+/// two senders), one partition per name in `partitions`, and the given
+/// `place` lines.
+inline Deployment write_deployment(
+    const std::string& dir, const std::vector<std::string>& partitions,
+    const std::string& placement,
+    std::string topology = "topology = wordcount\nparam senders = 2\n") {
   Deployment d;
   d.config_path = dir + "/deploy.conf";
-  std::string text = "topology = wordcount\nparam senders = 2\n";
+  std::string text = std::move(topology);
   const auto ports = free_ports(2 * partitions.size());
   for (std::size_t i = 0; i < partitions.size(); ++i) {
     const std::string& p = partitions[i];

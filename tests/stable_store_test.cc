@@ -1,6 +1,7 @@
 // Tests for file-backed stable storage: durability across "restarts",
 // torn-write tolerance, and write-through persistence of the external
-// message log and the determinism-fault log.
+// message log (through its segmented store) and the determinism-fault log.
+// Whole-deployment restarts from a log directory are in durability_test.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,6 +10,7 @@
 
 #include "log/fault_log.h"
 #include "log/message_log.h"
+#include "log/segmented_store.h"
 #include "log/stable_store.h"
 
 namespace tart::log {
@@ -162,8 +164,13 @@ TEST_F(StableStoreTest, CorruptedChecksumStopsScan) {
   EXPECT_EQ(FileStableStore::scan(p).size(), 1u);
 }
 
+/// Rebuilds `log` from the segmented store in `dir` — the restart path.
+void recover_log(const std::string& dir, ExternalMessageLog& log) {
+  const SegmentedStore store(dir, "messages");
+  log.load_records(store.scan_all(), store.first_retained_index());
+}
+
 TEST_F(StableStoreTest, MessageLogWriteThroughAndRecover) {
-  const std::string p = path("messages");
   Message m;
   m.wire = WireId(3);
   m.vt = VirtualTime(50000);
@@ -171,7 +178,7 @@ TEST_F(StableStoreTest, MessageLogWriteThroughAndRecover) {
   m.payload = Payload("sentence");
   {
     ExternalMessageLog log;
-    FileStableStore store(p);
+    SegmentedStore store(dir_.string(), "messages");
     log.attach_store(&store);
     log.append(m);
     Message m2 = m;
@@ -181,7 +188,7 @@ TEST_F(StableStoreTest, MessageLogWriteThroughAndRecover) {
   }
   // "Restart": a fresh log rebuilt from stable storage serves replay.
   ExternalMessageLog recovered;
-  recovered.load_from(p);
+  recover_log(dir_.string(), recovered);
   EXPECT_EQ(recovered.size(WireId(3)), 2u);
   const auto replay = recovered.replay_after(WireId(3), VirtualTime(-1));
   ASSERT_EQ(replay.size(), 2u);
@@ -190,10 +197,9 @@ TEST_F(StableStoreTest, MessageLogWriteThroughAndRecover) {
 }
 
 TEST_F(StableStoreTest, MessageLogAppendBatchOneFlushAndRecover) {
-  const std::string p = path("messages");
   {
     ExternalMessageLog log;
-    FileStableStore store(p);
+    SegmentedStore store(dir_.string(), "messages");
     log.attach_store(&store);
     std::vector<Message> batch;
     for (int i = 0; i < 5; ++i) {
@@ -209,7 +215,7 @@ TEST_F(StableStoreTest, MessageLogAppendBatchOneFlushAndRecover) {
     EXPECT_EQ(store.flushes(), 1u);
   }
   ExternalMessageLog recovered;
-  recovered.load_from(p);
+  recover_log(dir_.string(), recovered);
   EXPECT_EQ(recovered.size(WireId(0)), 3u);
   EXPECT_EQ(recovered.size(WireId(1)), 2u);
   const auto replay = recovered.replay_after(WireId(0), VirtualTime(-1));
@@ -248,174 +254,6 @@ TEST_F(StableStoreTest, FaultRecordCodecRoundTrip) {
   EXPECT_EQ(d.version, 3u);
   EXPECT_TRUE(d.effective_vt.is_infinite());
   EXPECT_EQ(d.coefficients, rec.coefficients);
-}
-
-}  // namespace
-}  // namespace tart::log
-
-// --- Cold restart of a whole deployment from stable storage ------------------
-
-#include "apps/wordcount.h"
-#include "core/runtime.h"
-#include "estimator/estimator.h"
-
-namespace tart::log {
-namespace {
-
-struct ColdApp {
-  core::Topology topo;
-  ComponentId s1, s2, merger;
-  WireId in1, in2, out;
-
-  ColdApp() {
-    s1 = topo.add("s1", [] {
-      return std::make_unique<apps::WordCountSender>();
-    });
-    s2 = topo.add("s2", [] {
-      return std::make_unique<apps::WordCountSender>();
-    });
-    merger = topo.add("m", [] {
-      return std::make_unique<apps::TotalingMerger>();
-    });
-    for (const auto c : {s1, s2}) {
-      topo.set_estimator(c, [] {
-        return estimator::per_iteration_estimator(61000.0);
-      });
-    }
-    in1 = topo.external_input(s1, PortId(0));
-    in2 = topo.external_input(s2, PortId(0));
-    topo.connect(s1, PortId(0), merger, PortId(0));
-    topo.connect(s2, PortId(0), merger, PortId(0));
-    out = topo.external_output(merger, PortId(0));
-  }
-
-  [[nodiscard]] std::map<ComponentId, EngineId> placement() const {
-    return {{s1, EngineId(0)}, {s2, EngineId(0)}, {merger, EngineId(0)}};
-  }
-};
-
-using Observed = std::vector<std::pair<std::int64_t, std::int64_t>>;
-
-Observed observed(core::Runtime& rt, WireId out) {
-  Observed result;
-  for (const auto& r : rt.output_records(out))
-    result.emplace_back(r.vt.ticks(), r.payload.as_int());
-  return result;
-}
-
-class ColdRestartTest : public StableStoreTest {};
-
-TEST_F(ColdRestartTest, WholeDeploymentRecoversFromLogDirectory) {
-  const std::string log_dir = (dir_).string();
-  Observed first_run;
-  std::uint64_t first_fingerprint = 0;
-  {
-    ColdApp app;
-    core::RuntimeConfig config;
-    config.log_dir = log_dir;
-    core::Runtime rt(app.topo, app.placement(), config);
-    rt.start();
-    for (int i = 0; i < 10; ++i) {
-      rt.inject_at(app.in1, VirtualTime(1000 + i * 500'000),
-                   apps::sentence({"a", "b", "c"}));
-      rt.inject_at(app.in2, VirtualTime(700 + i * 400'000),
-                   apps::sentence({"d", "e"}));
-    }
-    ASSERT_TRUE(rt.drain());
-    first_run = observed(rt, app.out);
-    first_fingerprint = rt.state_fingerprint(app.merger);
-    rt.stop();
-    // The process "dies" here: all in-memory state (including the passive
-    // replica) is gone; only the log directory survives.
-  }
-
-  ColdApp app;
-  core::RuntimeConfig config;
-  config.log_dir = log_dir;
-  core::Runtime rt(app.topo, app.placement(), config);
-  rt.start();  // replays the recovered log automatically
-  ASSERT_TRUE(rt.drain());
-  EXPECT_EQ(observed(rt, app.out), first_run);
-  EXPECT_EQ(rt.state_fingerprint(app.merger), first_fingerprint);
-  rt.stop();
-}
-
-TEST_F(ColdRestartTest, RestartContinuesAcceptingNewInput) {
-  const std::string log_dir = (dir_).string();
-  {
-    ColdApp app;
-    core::RuntimeConfig config;
-    config.log_dir = log_dir;
-    core::Runtime rt(app.topo, app.placement(), config);
-    rt.start();
-    rt.inject_at(app.in1, VirtualTime(1000), apps::sentence({"x", "y"}));
-    rt.inject_at(app.in2, VirtualTime(900), apps::sentence({"z"}));
-    ASSERT_TRUE(rt.drain());
-    rt.stop();
-  }
-  ColdApp app;
-  core::RuntimeConfig config;
-  config.log_dir = log_dir;
-  core::Runtime rt(app.topo, app.placement(), config);
-  rt.start();
-  // New injections continue the per-wire sequence past the recovered log.
-  rt.inject_at(app.in1, VirtualTime(10'000'000), apps::sentence({"x"}));
-  ASSERT_TRUE(rt.drain());
-  EXPECT_EQ(rt.output_records(app.out).size(), 3u);
-  EXPECT_EQ(rt.external_log().size(app.in1), 2u);
-  rt.stop();
-}
-
-
-TEST_F(ColdRestartTest, ResumesFromPersistedCheckpoints) {
-  const std::string log_dir = (dir_).string();
-  core::RuntimeConfig config;
-  config.log_dir = log_dir;
-  config.checkpoint.every_n_messages = 3;
-
-  std::uint64_t fingerprint = 0;
-  std::int64_t final_total = 0;
-  {
-    ColdApp app;
-    core::Runtime rt(app.topo, app.placement(), config);
-    rt.start();
-    for (int i = 0; i < 12; ++i) {
-      rt.inject_at(app.in1, VirtualTime(1000 + i * 500'000),
-                   apps::sentence({"a", "b", "c"}));
-      rt.inject_at(app.in2, VirtualTime(700 + i * 400'000),
-                   apps::sentence({"d", "e"}));
-    }
-    ASSERT_TRUE(rt.drain());
-    fingerprint = rt.state_fingerprint(app.merger);
-    const auto records = observed(rt, app.out);
-    final_total = records.back().second;
-    rt.stop();
-  }
-
-  // Cold restart 1: checkpoints come back from replica.log, the log tail
-  // replays, and the deployment ends bit-identical.
-  {
-    ColdApp app;
-    core::Runtime rt(app.topo, app.placement(), config);
-    EXPECT_GT(rt.replica().latest_version(app.merger), 0u);
-    rt.start();
-    ASSERT_TRUE(rt.drain());
-    EXPECT_EQ(rt.state_fingerprint(app.merger), fingerprint);
-    rt.stop();
-  }
-
-  // Cold restart 2: the restarted deployment keeps running — repeated
-  // words hit the restored vocabulary, so the total strictly grows.
-  ColdApp app;
-  core::Runtime rt(app.topo, app.placement(), config);
-  rt.start();
-  rt.inject_at(app.in1, VirtualTime(100'000'000),
-               apps::sentence({"a", "b", "c"}));
-  ASSERT_TRUE(rt.drain());
-  const auto records = observed(rt, app.out);
-  ASSERT_FALSE(records.empty());
-  EXPECT_GT(records.back().second, final_total);
-  rt.stop();
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 //     (asserted through MetricsSnapshot).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -18,8 +19,8 @@
 #include <set>
 #include <thread>
 
+#include "obs/exposition.h"
 #include "obs/prof.h"
-#include "obs/sampler.h"
 #include "random_app.h"
 #include "trace/diff.h"
 #include "trace/trace_file.h"
@@ -202,10 +203,11 @@ TEST(TraceDeterminism, InjectedNondeterminismIsCaughtAndNamed) {
   std::remove(pb.c_str());
 }
 
-// The telemetry layer is a read-only observer: a run with the background
-// JSONL sampler attached (aggressive 1ms interval) and every registry
-// histogram live must trace byte-identically to a bare run. If any
-// instrumentation path ever feeds back into scheduling (a lock on the
+// The telemetry layer is a read-only observer: a run polled the way
+// GET /obs polls it (an aggressive 1ms reader rendering the JSONL series
+// line from total_metrics() and every registry sample) with every
+// registry histogram live must trace byte-identically to a bare run. If
+// any instrumentation path ever feeds back into scheduling (a lock on the
 // dispatch path, a wall-clock read that shifts a virtual time), this is
 // the test that goes red.
 TEST(TraceDeterminism, SamplerAndInstrumentationDoNotPerturbTraces) {
@@ -215,49 +217,39 @@ TEST(TraceDeterminism, SamplerAndInstrumentationDoNotPerturbTraces) {
 
     const std::string observed =
         temp_trace_path("obs" + std::to_string(seed));
-    const std::string jsonl =
-        (std::filesystem::temp_directory_path() /
-         ("tart_sampler_" + std::to_string(seed) + ".jsonl"))
-            .string();
-    std::remove(jsonl.c_str());
     {
       proptest::GeneratedApp app = proptest::generate_app(seed);
       RuntimeConfig config;
       config.trace.enabled = true;
       config.trace.path = observed;
       Runtime rt(app.topo, two_engine_placement(app), std::move(config));
-      obs::Sampler sampler(obs::Sampler::Options{jsonl, 1}, &rt.registry(),
-                           [&rt] { return rt.total_metrics(); });
-      ASSERT_TRUE(sampler.start());
+      std::atomic<bool> stop{false};
+      std::size_t lines = 0;
+      std::thread poller([&] {
+        do {
+          const std::string line = obs::render_series_line(
+              static_cast<std::int64_t>(lines), rt.total_metrics(),
+              rt.registry().samples());
+          if (!line.empty()) ++lines;
+          std::this_thread::sleep_for(1ms);
+        } while (!stop.load());
+      });
       rt.start();
       for (const auto& inj : plan_workload(app, seed))
         rt.inject_at(inj.wire, inj.vt, inj.payload);
-      ASSERT_TRUE(rt.drain(60s)) << "seed " << seed;
-      sampler.stop();
-      EXPECT_GT(sampler.samples_written(), 0u);
+      const bool drained = rt.drain(60s);
+      stop.store(true);
+      poller.join();
+      ASSERT_TRUE(drained) << "seed " << seed;
+      EXPECT_GT(lines, 0u);
       rt.stop();
     }
 
     EXPECT_EQ(file_bytes(bare), file_bytes(observed))
         << "telemetry perturbed the trace for seed " << seed;
 
-    // The sampler wrote well-formed JSONL: every line is one object with
-    // the timestamp and the scalar block.
-    std::ifstream in(jsonl);
-    std::string line;
-    std::size_t lines = 0;
-    while (std::getline(in, line)) {
-      ++lines;
-      EXPECT_EQ(line.front(), '{') << line;
-      EXPECT_EQ(line.back(), '}') << line;
-      EXPECT_NE(line.find("\"ts_ms\":"), std::string::npos) << line;
-      EXPECT_NE(line.find("\"metrics\":"), std::string::npos) << line;
-    }
-    EXPECT_GT(lines, 0u);
-
     std::remove(bare.c_str());
     std::remove(observed.c_str());
-    std::remove(jsonl.c_str());
   }
 }
 
@@ -349,8 +341,8 @@ TEST(TraceDeterminism, LineageDoesNotPerturbScheduling) {
   }
 }
 
-// The hot-path span profiler is the same kind of read-only observer as the
-// sampler: it reads wall clocks inside dispatch, decode, and flush paths
+// The hot-path span profiler is the same kind of read-only observer as a
+// GET /obs poller: it reads wall clocks inside dispatch, decode, and flush paths
 // but never feeds a scheduling decision. A run with profiling enabled must
 // trace byte-identically to a run with the runtime kill switch off — the
 // non-interference contract for TART_PROF_SPAN in the hottest code.

@@ -84,9 +84,11 @@ if [[ "$run_asan" == 1 ]]; then
   cmake -B build-asan -S . -DTART_SANITIZE=address >/dev/null
   cmake --build build-asan -j"$(nproc)"
   ctest --test-dir build-asan --output-on-failure -j"$(nproc)"
-  # The fuzz tests (HTTP parser in gateway_test, transport frames in
-  # net_frame_test, on-disk decoders in durability_test) run again here
-  # under ASan — the memory-safety net for the byte-mutation corpus.
+  # The fuzz tests (HTTP parser in gateway_test, transport frames and peer
+  # control bodies in net_frame_test, on-disk decoders in durability_test,
+  # NodeReport in obs_test, migration slices in placement_test, trace
+  # files in trace_test) run again here under ASan — the memory-safety net
+  # for the byte-mutation corpus.
   echo "== gateway bench smoke (ASan) =="
   ./build-asan/bench/bench_gateway --smoke
 fi

@@ -661,7 +661,8 @@ void ComponentRunner::serve_control(const ControlMsg& msg) {
 
 void ComponentRunner::process(const Message& m) {
   const auto& spec = topology_.wire(m.wire);
-  const VirtualTime dequeue_vt = max(m.vt, current_vt_);
+  const VirtualTime dequeue_vt =
+      max(m.vt, current_vt_.load(std::memory_order_relaxed));
   // The dispatch record IS the scheduling decision: replaying the same log
   // must reproduce this stream exactly (§II.D), which the trace differ
   // checks.
@@ -760,14 +761,14 @@ void ComponentRunner::process(const Message& m) {
   current_origin_seq_ = 0;
   current_origin_wall_ns_ = 0;
 
-  current_vt_ = cursor;
+  current_vt_.store(cursor, std::memory_order_release);
   input_pos_[m.wire] = InputPos{m.vt, m.seq + 1};
   metrics_.messages_processed.inc();
   ++processed_since_checkpoint_;
 
   if (config_.calibration) {
     estimators_.add_sample(ctx.counters(),
-                           static_cast<double>(elapsed_ns), current_vt_);
+                           static_cast<double>(elapsed_ns), cursor);
   }
 
   maybe_checkpoint();
@@ -864,7 +865,9 @@ void ComponentRunner::advance_published(OutputState& out,
 void ComponentRunner::publish_busy_horizons(VirtualTime floor) {
   for (auto& [wid, out] : outputs_) {
     VirtualTime h = floor + out->delay->min_delay() - TickDuration(1);
-    if (bias_.enabled()) h = max(h, bias_.eager_promise(current_vt_));
+    if (bias_.enabled())
+      h = max(h, bias_.eager_promise(
+                     current_vt_.load(std::memory_order_relaxed)));
     advance_published(*out, h);
   }
 }
@@ -880,7 +883,7 @@ void ComponentRunner::publish_idle_horizons_locked() {
   VirtualTime lb = VirtualTime::infinity();
   for (const WireId w : nonself_wires_) lb = min(lb, inbox_.wire_horizon(w).next());
   if (const auto head = inbox_.peek()) lb = min(lb, head->vt);
-  lb = max(lb, current_vt_);
+  lb = max(lb, current_vt_.load(std::memory_order_relaxed));
 
   const bool closed = inbox_.exhausted();
   for (auto& [wid, out] : outputs_) {
@@ -890,7 +893,9 @@ void ComponentRunner::publish_idle_horizons_locked() {
     }
     VirtualTime h = lb + estimators_.future_min_estimate(lb) +
                     out->delay->min_delay() - TickDuration(1);
-    if (bias_.enabled()) h = max(h, bias_.eager_promise(current_vt_));
+    if (bias_.enabled())
+      h = max(h, bias_.eager_promise(
+                     current_vt_.load(std::memory_order_relaxed)));
     advance_published(*out, h);
     // Self wires: the freshly computed horizon feeds straight back into
     // our own inbox (no probe round trip; delivery on self wires is
@@ -972,9 +977,9 @@ void ComponentRunner::capture_checkpoint() {
     component_->capture_full(w);
   }
   s.state = w.take();
-  s.vt = current_vt_;
+  s.vt = current_vt_.load(std::memory_order_relaxed);
   s.messages_processed = metrics_.messages_processed.value();
-  s.estimator_version = estimators_.version_at(current_vt_);
+  s.estimator_version = estimators_.version_at(s.vt);
 
   for (const auto& [wire, pos] : input_pos_) {
     s.inputs.push_back(
@@ -1035,7 +1040,7 @@ void ComponentRunner::restore_from(
 
   const checkpoint::ComponentSnapshot& last =
       plan->deltas.empty() ? plan->base : plan->deltas.back();
-  current_vt_ = last.vt;
+  current_vt_.store(last.vt, std::memory_order_release);
   max_arrival_vt_ = VirtualTime(-1);
   checkpoint_version_ = last.version;
   processed_since_checkpoint_ = 0;
@@ -1107,8 +1112,7 @@ bool ComponentRunner::exhausted() const {
 }
 
 VirtualTime ComponentRunner::current_vt() const {
-  const std::lock_guard<std::mutex> lk(mu_);
-  return current_vt_;
+  return current_vt_.load(std::memory_order_acquire);
 }
 
 ComponentStatus ComponentRunner::status() const {
@@ -1116,7 +1120,7 @@ ComponentStatus ComponentRunner::status() const {
   ComponentStatus st;
   st.id = id_;
   st.name = name_;
-  st.vt_ticks = current_vt_.ticks();
+  st.vt_ticks = current_vt_.load(std::memory_order_acquire).ticks();
   st.pending = inbox_.pending();
   if (config_.mode == SchedulingMode::kArrivalOrder)
     st.pending += arrival_queue_.size();

@@ -280,8 +280,12 @@ class ComponentRunner {
   bool in_handler_ = false;
   bool final_silence_sent_ = false;
 
+  /// Virtual position after the last dispatch. Only the runner thread
+  /// writes it, outside mu_ (process() runs unlocked); status() and
+  /// current_vt() read it from other threads, so it is atomic.
+  std::atomic<VirtualTime> current_vt_{VirtualTime::zero()};
+
   // Runner-thread-private state.
-  VirtualTime current_vt_ = VirtualTime::zero();
   VirtualTime max_arrival_vt_ = VirtualTime(-1);  // out-of-order detection
   std::map<WireId, InputPos> input_pos_;          // data/call/external inputs
   std::map<WireId, VirtualTime> last_reply_;      // reply-wire positions

@@ -1,5 +1,6 @@
 #include "core/runtime.h"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <thread>
@@ -434,11 +435,30 @@ void Runtime::subscribe(WireId output_wire, OutputCallback callback) {
   pinned->callback = std::move(callback);
 }
 
-std::vector<OutputRecord> Runtime::output_records(WireId output_wire) const {
+std::vector<OutputRecord> Runtime::output_records(WireId output_wire,
+                                                  std::size_t after,
+                                                  std::size_t max) const {
   const auto pinned = output_sink(output_wire);
   if (pinned == nullptr) return {};
   const std::lock_guard<std::mutex> lk(pinned->mu);
-  return pinned->records;
+  const std::vector<OutputRecord>& records = pinned->records;
+  if (after >= records.size()) return {};
+  const auto first = records.begin() + static_cast<std::ptrdiff_t>(after);
+  const std::size_t n = std::min(max, records.size() - after);
+  return {first, first + static_cast<std::ptrdiff_t>(n)};
+}
+
+std::size_t Runtime::output_count(WireId output_wire) const {
+  const auto pinned = output_sink(output_wire);
+  if (pinned == nullptr) return 0;
+  const std::lock_guard<std::mutex> lk(pinned->mu);
+  return pinned->records.size();
+}
+
+void Runtime::set_output_ready_hook(std::function<void()> hook) {
+  const std::lock_guard<std::mutex> lk(output_hook_mu_);
+  output_hook_set_.store(static_cast<bool>(hook));
+  output_hook_ = std::move(hook);
 }
 
 void Runtime::deliver_external_output(WireId wire,
@@ -468,6 +488,10 @@ void Runtime::deliver_external_output(WireId wire,
     // Catch-up replay must be invisible to the outside world (§II.A): the
     // record is kept, the subscriber is not called.
     if (!outputs_suppressed_.load()) callback = sink.callback;
+  }
+  if (output_hook_set_.load()) {
+    const std::lock_guard<std::mutex> lk(output_hook_mu_);
+    if (output_hook_) output_hook_();
   }
   const std::int64_t deliver_ns = wall_now_ns();
   if (tracer_ != nullptr &&

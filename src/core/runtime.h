@@ -167,10 +167,23 @@ class Runtime final : public FrameRouter {
   /// before start()). Records are kept regardless of subscription.
   void subscribe(WireId output_wire, OutputCallback callback);
 
-  /// Everything delivered on an external output so far, in delivery order
-  /// (stutter re-deliveries flagged).
+  /// Records delivered on an external output, in delivery order (stutter
+  /// re-deliveries flagged): the slice [after, after + max), clipped to
+  /// what exists. The defaults return everything delivered so far; a
+  /// cursor read copies only the records it returns.
   [[nodiscard]] std::vector<OutputRecord> output_records(
-      WireId output_wire) const;
+      WireId output_wire, std::size_t after = 0,
+      std::size_t max = static_cast<std::size_t>(-1)) const;
+  /// How many records output_records(output_wire) would return.
+  [[nodiscard]] std::size_t output_count(WireId output_wire) const;
+
+  /// Called on the delivering thread after every record appended to any
+  /// local output sink, including records kept during suppressed catch-up
+  /// replay. The hook must be cheap and must not call into the runtime.
+  /// An empty function clears it; once set_output_ready_hook returns, no
+  /// call of the previous hook is still running. Unset, delivery pays one
+  /// atomic load for it.
+  void set_output_ready_hook(std::function<void()> hook);
 
   // --- Partition-aware wiring (multi-process deployments) ------------------
 
@@ -447,6 +460,11 @@ class Runtime final : public FrameRouter {
   std::unique_ptr<durability::CheckpointManager> ckpt_manager_;
   RecoveryInfo recovery_;
   std::atomic<bool> outputs_suppressed_{false};
+  /// set_output_ready_hook: the flag keeps the unset case to one load; the
+  /// mutex makes clearing wait out a call in progress.
+  std::atomic<bool> output_hook_set_{false};
+  std::mutex output_hook_mu_;
+  std::function<void()> output_hook_;  // guarded by output_hook_mu_
 
   /// Owned here, not by the engines: a component's trace stream (and its
   /// sequence counter) must survive engine crash/recover for recovery

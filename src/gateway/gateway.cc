@@ -162,12 +162,17 @@ Gateway::Gateway(core::Runtime* runtime, Options options,
                  [this](unsigned) { on_accept(); });
   });
   loop_thread_ = std::thread([this] { loop_.run(); });
+  runtime_->set_output_ready_hook([this] {
+    if (!wake_posted_.exchange(true)) loop_.post([this] { wake_parked(); });
+  });
 }
 
 Gateway::~Gateway() { shutdown(); }
 
 void Gateway::shutdown() {
   if (stopping_.exchange(true)) return;
+  // From here on no delivery can post a wake to the loop or this object.
+  runtime_->set_output_ready_hook(nullptr);
 
   // Committer first: it finishes the in-flight round, then every queued
   // injection is failed 503 (never silently acked — the contract is that
@@ -189,6 +194,7 @@ void Gateway::shutdown() {
     loop_.remove_fd(listener_.get());
     for (auto& [id, conn] : conns_) loop_.remove_fd(conn->fd.get());
     conns_.clear();
+    parked_.clear();
     loop_.stop();
   });
   if (loop_thread_.joinable()) loop_thread_.join();
@@ -624,8 +630,22 @@ void Gateway::handle_outputs(std::uint64_t id, const HttpRequest& req,
     }
     wait_ms = *parsed;
   }
-  const auto deadline = Clock::now() + std::chrono::milliseconds(wait_ms);
-  poll_outputs(id, output->second, after, max, deadline, req.keep_alive);
+  const WireId wire = output->second;
+  if (serve_outputs(id, wire, after, max, req.keep_alive, wait_ms == 0))
+    return;
+  // Long-poll with nothing new yet: park until a delivery wakes it
+  // (wake_parked) or the deadline answers it empty. The connection stays
+  // read-paused so pipelined requests wait their turn.
+  Conn* c = conns_.find(id)->second.get();
+  c->awaiting = true;
+  c->parked_on = wire;
+  loop_.set_interest(c->fd.get(), false, c->out_off < c->outbuf.size());
+  const auto deadline = loop_.add_timer(
+      Clock::now() + std::chrono::milliseconds(wait_ms), [this, id, wire] {
+        const ParkedPoll p = parked_.at(wire).at(id);
+        serve_outputs(id, wire, p.after, p.max, p.keep_alive, true);
+      });
+  parked_[wire][id] = ParkedPoll{after, max, req.keep_alive, deadline};
 }
 
 bool Gateway::maybe_redirect(std::uint64_t id, const HttpRequest& req,
@@ -707,56 +727,76 @@ void Gateway::handle_migrate(std::uint64_t id, const HttpRequest& req) {
   });
 }
 
-void Gateway::poll_outputs(std::uint64_t id, WireId wire, std::size_t after,
-                           std::size_t max, Clock::time_point deadline,
-                           bool keep_alive) {
-  const auto it = conns_.find(id);
-  if (it == conns_.end()) return;
-  Conn* c = it->second.get();
-
-  const auto records = runtime_->output_records(wire);
-  if (records.size() <= after && Clock::now() < deadline &&
-      !stopping_.load()) {
-    // Long-poll: nothing new yet; re-check on a short timer. The
-    // connection stays read-paused so pipelined requests wait their turn.
-    if (!c->awaiting) {
-      c->awaiting = true;
-      loop_.set_interest(c->fd.get(), false, c->out_off < c->outbuf.size());
+bool Gateway::serve_outputs(std::uint64_t id, WireId wire, std::size_t after,
+                            std::size_t max, bool keep_alive,
+                            bool must_answer) {
+  std::vector<core::OutputRecord> records;
+  std::size_t next = 0;
+  {
+    TART_PROF_SPAN("gw.outputs");
+    records = runtime_->output_records(wire, after, max);
+    if (records.empty()) {
+      if (!must_answer) return false;
+      // A cursor past the end answers with the record count.
+      next = std::min(after, runtime_->output_count(wire));
+    } else {
+      next = after + records.size();
     }
-    loop_.add_timer(Clock::now() + std::chrono::milliseconds(10),
-                    [this, id, wire, after, max, deadline, keep_alive] {
-                      poll_outputs(id, wire, after, max, deadline, keep_alive);
-                    });
-    return;
   }
 
   std::string body;
-  const std::size_t end = std::min(records.size(), after + max);
-  for (std::size_t i = after; i < end; ++i) {
-    body += std::to_string(records[i].vt.ticks());
+  for (const core::OutputRecord& record : records) {
+    body += std::to_string(record.vt.ticks());
     body += '\t';
-    body += records[i].stutter ? '1' : '0';
+    body += record.stutter ? '1' : '0';
     body += '\t';
     // Lineage tag: the originating input as WIRE:SEQ ("-" when unknown),
     // so external clients can correlate acked injections to outputs
     // without reading trace files (`tart-trace lineage --input WIRE:SEQ`).
-    if (records[i].origin_wire.is_valid()) {
-      body += std::to_string(records[i].origin_wire.value());
+    if (record.origin_wire.is_valid()) {
+      body += std::to_string(record.origin_wire.value());
       body += ':';
-      body += std::to_string(records[i].origin_seq);
+      body += std::to_string(record.origin_seq);
     } else {
       body += '-';
     }
     body += '\t';
-    body += render_payload(records[i].payload);
+    body += render_payload(record.payload);
     body += '\n';
   }
+  Conn* c = conns_.at(id).get();
+  unpark(id, *c);
   const bool was_awaiting = c->awaiting;
   respond(id, 200,
           {{"Content-Type", "text/plain"},
-           {"X-Tart-Next", std::to_string(end)}},
+           {"X-Tart-Next", std::to_string(next)}},
           body, keep_alive);
   if (was_awaiting) serve_next(id);
+  return true;
+}
+
+void Gateway::unpark(std::uint64_t id, Conn& c) {
+  if (!c.parked_on.is_valid()) return;
+  const auto polls = parked_.find(c.parked_on);
+  loop_.cancel_timer(polls->second.at(id).deadline);
+  polls->second.erase(id);
+  if (polls->second.empty()) parked_.erase(polls);
+  c.parked_on = WireId::invalid();
+}
+
+void Gateway::wake_parked() {
+  // Cleared before the sink reads, so a delivery from here on posts the
+  // next wake; an exchange, so the deliveries that set it are visible.
+  wake_posted_.exchange(false);
+  std::vector<std::pair<WireId, std::uint64_t>> polls;
+  for (const auto& [wire, by_conn] : parked_)
+    for (const auto& [id, poll] : by_conn) polls.emplace_back(wire, id);
+  // Answering a poll touches only its own connection, which a pipelined
+  // request may park again; every listed poll is still parked at its turn.
+  for (const auto& [wire, id] : polls) {
+    const ParkedPoll p = parked_.at(wire).at(id);
+    serve_outputs(id, wire, p.after, p.max, p.keep_alive, false);
+  }
 }
 
 void Gateway::respond(std::uint64_t id, int status,
@@ -807,6 +847,7 @@ void Gateway::flush_out(std::uint64_t id) {
 void Gateway::drop_conn(std::uint64_t id) {
   const auto it = conns_.find(id);
   if (it == conns_.end()) return;
+  unpark(id, *it->second);
   loop_.remove_fd(it->second->fd.get());
   conns_.erase(it);
 }

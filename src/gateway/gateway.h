@@ -22,7 +22,10 @@
 //   POST /checkpoint              force a durable checkpoint (RECOVERY.md)
 //   POST /migrate?component=C&to=NODE   live-migrate C (docs/PLACEMENT.md)
 //   POST /shutdown                ask the host process to exit
-//   GET  /outputs/<output>[?after=N&wait_ms=M&max=K]   drain/long-poll
+//   GET  /outputs/<output>[?after=N&wait_ms=M&max=K]   drain/long-poll;
+//        a long-poll with nothing to return parks until an output
+//        delivery wakes it (or wait_ms passes), and a response copies
+//        only the records it returns
 //   GET  /metrics                 Prometheus text exposition (obs registry)
 //   GET  /status                  silence-wavefront + placement JSON
 //   GET  /obs                     binary NodeReport (obs/node_report.h)
@@ -30,11 +33,15 @@
 //   GET  /healthz
 //
 // Threading: one event-loop thread owns every socket (accept/read/write,
-// same net::EventLoop as the peer transport), the committer thread owns
-// the injection batch, and blocking operations (drain) run on transient
-// worker threads; results are post()ed back to the loop. While a request
-// awaits its commit the connection's reads are paused, which makes
-// pipelining safe: parsed-but-unserved requests simply wait their turn.
+// same net::EventLoop as the peer transport) and the parked long-polls,
+// the committer thread owns the injection batch, and blocking operations
+// (drain) run on transient worker threads; results are post()ed back to
+// the loop. Output delivery (runner threads) post()s one wake at a time
+// through the runtime's output-ready hook, so a parked long-poll costs no
+// work until a record arrives, and a GET /outputs response costs
+// O(records returned). While a request awaits its commit or a parked poll
+// its records, the connection's reads are paused, which makes pipelining
+// safe: parsed-but-unserved requests simply wait their turn.
 #pragma once
 
 #include <atomic>
@@ -165,9 +172,21 @@ class Gateway {
     std::size_t out_off = 0;
     bool close_after_write = false;
     /// A response for the current request is still being produced
-    /// elsewhere (committer, drain worker, long-poll timer); reads stay
+    /// elsewhere (committer, drain worker, parked long-poll); reads stay
     /// paused and no further pipelined request is started until it lands.
     bool awaiting = false;
+    /// Output wire this connection's long-poll is parked on, if any.
+    WireId parked_on = WireId::invalid();
+  };
+
+  /// A GET /outputs long-poll that found nothing to return. It is answered
+  /// when a delivery wakes it with records in [after, after + max), or
+  /// empty at its deadline.
+  struct ParkedPoll {
+    std::size_t after = 0;
+    std::size_t max = 0;
+    bool keep_alive = true;
+    net::EventLoop::TimerId deadline = 0;
   };
 
   /// One injection waiting for the committer.
@@ -193,10 +212,15 @@ class Gateway {
   /// (host_.redirect says so); returns true when a redirect was sent.
   bool maybe_redirect(std::uint64_t id, const HttpRequest& req,
                       const std::string& name);
-  void poll_outputs(std::uint64_t id, WireId wire, std::size_t after,
-                    std::size_t max,
-                    std::chrono::steady_clock::time_point deadline,
-                    bool keep_alive);
+  /// Answers with the records in [after, after + max) and returns true.
+  /// With none there, answers only when `must_answer` and otherwise
+  /// returns false (the caller parks or keeps the poll parked).
+  bool serve_outputs(std::uint64_t id, WireId wire, std::size_t after,
+                     std::size_t max, bool keep_alive, bool must_answer);
+  /// Re-serves every parked long-poll; runs once per posted wake.
+  void wake_parked();
+  /// Forgets the connection's parked poll, if any, and cancels its timer.
+  void unpark(std::uint64_t id, Conn& c);
   void respond(std::uint64_t id, int status,
                std::vector<std::pair<std::string, std::string>> extra,
                std::string_view body, bool keep_alive);
@@ -224,6 +248,11 @@ class Gateway {
 
   std::map<std::uint64_t, std::unique_ptr<Conn>> conns_;  // loop thread
   std::uint64_t next_conn_ = 1;                           // loop thread
+  /// Parked long-polls by output wire, then connection (loop thread).
+  std::map<WireId, std::map<std::uint64_t, ParkedPoll>> parked_;
+  /// A wake_parked() is posted and has not started yet: the runtime's
+  /// output-ready hook posts at most one at a time.
+  std::atomic<bool> wake_posted_{false};
 
   // Committer queue. `pending_` is swapped out whole each round; per-wire
   // in-flight counts implement the admission bound (incremented on the

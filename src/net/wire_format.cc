@@ -127,7 +127,7 @@ void encode_moves(serde::Writer& w, const std::vector<PlacementMove>& moves) {
 }
 
 std::vector<PlacementMove> decode_moves(serde::Reader& r) {
-  const auto n = r.read_varint();
+  const auto n = r.read_count();
   std::vector<PlacementMove> moves;
   moves.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -149,7 +149,7 @@ void encode_covers(serde::Writer& w, const std::vector<WireCoverBound>& covs) {
 }
 
 std::vector<WireCoverBound> decode_covers(serde::Reader& r) {
-  const auto n = r.read_varint();
+  const auto n = r.read_count();
   std::vector<WireCoverBound> covs;
   covs.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {

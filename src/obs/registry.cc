@@ -271,7 +271,7 @@ void encode_samples(serde::Writer& w, const std::vector<Sample>& samples) {
 }
 
 std::vector<Sample> decode_samples(serde::Reader& r) {
-  const std::uint64_t n = r.read_varint();
+  const std::uint64_t n = r.read_count();
   std::vector<Sample> out;
   out.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -283,7 +283,7 @@ std::vector<Sample> decode_samples(serde::Reader& r) {
       throw serde::DecodeError("obs sample: bad kind");
     s.kind = static_cast<Kind>(kind);
     s.scale = r.read_double();
-    const std::uint64_t nlabels = r.read_varint();
+    const std::uint64_t nlabels = r.read_count();
     for (std::uint64_t j = 0; j < nlabels; ++j) {
       Label l;
       l.key = r.read_string();
@@ -301,7 +301,7 @@ std::vector<Sample> decode_samples(serde::Reader& r) {
         s.hist = stats::Histogram::decode(r);
         break;
     }
-    const std::uint64_t nex = r.read_varint();
+    const std::uint64_t nex = r.read_count();
     s.exemplars.reserve(nex);
     for (std::uint64_t j = 0; j < nex; ++j) {
       BucketExemplar be;

@@ -47,11 +47,11 @@ std::optional<MigrationSlice> MigrationSlice::decode(
     s.to = EngineId(r.read_u32());
     s.is_delta = r.read_bool();
     s.plan.base = checkpoint::ComponentSnapshot::decode(r);
-    const std::uint64_t deltas = r.read_varint();
+    const std::uint64_t deltas = r.read_count();
     s.plan.deltas.reserve(deltas);
     for (std::uint64_t i = 0; i < deltas; ++i)
       s.plan.deltas.push_back(checkpoint::ComponentSnapshot::decode(r));
-    const std::uint64_t wires = r.read_varint();
+    const std::uint64_t wires = r.read_count();
     s.inputs.reserve(wires);
     for (std::uint64_t i = 0; i < wires; ++i) {
       WireLogSlice in;
@@ -59,7 +59,7 @@ std::optional<MigrationSlice> MigrationSlice::decode(
       in.base_seq = r.read_varint();
       in.base_vt = r.read_vt();
       in.closed = r.read_bool();
-      const std::uint64_t n = r.read_varint();
+      const std::uint64_t n = r.read_count();
       in.records.reserve(n);
       for (std::uint64_t j = 0; j < n; ++j)
         in.records.push_back(Message::decode(r));

@@ -43,7 +43,7 @@ void Histogram::encode(serde::Writer& w) const {
 
 Histogram Histogram::decode(serde::Reader& r) {
   const double width = r.read_double();
-  const std::uint64_t n = r.read_varint();
+  const std::uint64_t n = r.read_count();
   if (n == 0 || n > (1u << 24))
     throw serde::DecodeError("histogram: bad bucket count");
   std::vector<std::uint64_t> buckets;

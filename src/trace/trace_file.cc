@@ -64,11 +64,11 @@ Trace TraceReader::read_bytes(const std::vector<std::byte>& bytes) {
                        std::to_string(kMinReadableTraceVersion) + ".." +
                        std::to_string(kTraceFormatVersion) + ")");
     t.categories = r.read_u32();
-    const auto n_components = r.read_varint();
+    const auto n_components = r.read_count();
     for (std::uint64_t i = 0; i < n_components; ++i) {
       ComponentTrace ct;
       ct.component = ComponentId(r.read_u32());
-      const auto n_events = r.read_varint();
+      const auto n_events = r.read_count();
       ct.events.reserve(n_events);
       for (std::uint64_t j = 0; j < n_events; ++j) {
         TraceEvent e = TraceEvent::decode(r);

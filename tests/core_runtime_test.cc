@@ -4,7 +4,11 @@
 // determinism property that the whole recovery story rests on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <map>
+#include <thread>
 
 #include "core/runtime.h"
 #include "estimator/estimator.h"
@@ -181,6 +185,93 @@ TEST(RuntimeFig1Test, OutputsInVirtualTimeOrder) {
   ASSERT_EQ(records.size(), 40u);
   for (std::size_t i = 1; i < records.size(); ++i)
     EXPECT_GT(records[i].vt, records[i - 1].vt);
+  rt.stop();
+}
+
+TEST(RuntimeFig1Test, OutputRecordsSliceAtBoundaries) {
+  Fig1App app;
+  Runtime rt(app.topo, app.single_engine(), RuntimeConfig{});
+  rt.start();
+  for (int i = 0; i < 3; ++i) {
+    rt.inject_at(app.in1, VirtualTime(1000 + i * 100000),
+                 testing_::sentence({"a", "b"}));
+    rt.inject_at(app.in2, VirtualTime(500 + i * 90000),
+                 testing_::sentence({"a"}));
+  }
+  ASSERT_TRUE(rt.drain());
+  const auto all = rt.output_records(app.out);
+  const std::size_t n = all.size();
+  ASSERT_EQ(n, 6u);
+  EXPECT_EQ(rt.output_count(app.out), n);
+
+  constexpr std::size_t kAll = static_cast<std::size_t>(-1);
+  for (const std::size_t after : {std::size_t{0}, std::size_t{1}, n - 1, n,
+                                  n + 1, kAll}) {
+    for (const std::size_t max :
+         {std::size_t{0}, std::size_t{1}, n - 1, n, kAll}) {
+      const auto got = rt.output_records(app.out, after, max);
+      const std::size_t first = std::min(after, n);
+      const std::size_t last = first + std::min(max, n - first);
+      ASSERT_EQ(got.size(), last - first) << after << "," << max;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].vt, all[first + i].vt) << after << "," << max;
+        EXPECT_EQ(got[i].payload, all[first + i].payload);
+      }
+    }
+  }
+  EXPECT_TRUE(rt.output_records(WireId(9999), 0, 10).empty());
+  EXPECT_EQ(rt.output_count(WireId(9999)), 0u);
+  rt.stop();
+}
+
+TEST(RuntimeFig1Test, OutputReadyHookRunsOncePerAppendedRecord) {
+  const auto run = [](bool clear_before_start) {
+    Fig1App app;
+    Runtime rt(app.topo, app.single_engine(), RuntimeConfig{});
+    std::atomic<std::size_t> calls{0};
+    rt.set_output_ready_hook([&calls] { calls.fetch_add(1); });
+    if (clear_before_start) rt.set_output_ready_hook(nullptr);
+    rt.start();
+    for (int i = 0; i < 3; ++i)
+      rt.inject_at(app.in1, VirtualTime(1000 + i * 100000),
+                   testing_::sentence({"a"}));
+    rt.inject_at(app.in2, VirtualTime(2000), testing_::sentence({"b"}));
+    EXPECT_TRUE(rt.drain());
+    EXPECT_EQ(rt.output_count(app.out), 4u);
+    rt.stop();
+    return calls.load();
+  };
+  EXPECT_EQ(run(false), 4u);
+  EXPECT_EQ(run(true), 0u) << "a cleared hook is never called";
+}
+
+TEST(RuntimeFig1Test, StatusIsSafeToReadWhileRunnersDispatch) {
+  // status() runs on operator threads (GET /status) while runners
+  // dispatch; each component's virtual position must be safe to read
+  // there (ThreadSanitizer checks this) and never move backwards.
+  Fig1App app;
+  Runtime rt(app.topo, app.single_engine(), RuntimeConfig{});
+  rt.start();
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    std::map<ComponentId, std::int64_t> last;
+    while (!done.load()) {
+      for (const ComponentStatus& c : rt.status().components) {
+        EXPECT_GE(c.vt_ticks, last[c.id]) << c.name;
+        last[c.id] = c.vt_ticks;
+      }
+    }
+  });
+  for (int i = 0; i < 1000; ++i) {
+    rt.inject_at(app.in1, VirtualTime(1000 + i * 100000),
+                 testing_::sentence({"a", "b"}));
+    rt.inject_at(app.in2, VirtualTime(500 + i * 90000),
+                 testing_::sentence({"c"}));
+  }
+  EXPECT_TRUE(rt.drain());
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(rt.output_count(app.out), 2000u);
   rt.stop();
 }
 

@@ -25,6 +25,7 @@
 #include "durability/manager.h"
 #include "durability/replay.h"
 #include "estimator/estimator.h"
+#include "fuzz_util.h"
 #include "log/fault_log.h"
 #include "log/message_log.h"
 #include "log/segmented_store.h"
@@ -735,25 +736,9 @@ TEST_F(ColdRestartTest, UpgradesUnsegmentedLogDirectory) {
 // refused checkpoint (nullopt), a shorter intact segment prefix, or
 // serde::DecodeError — never crash or allocate without bound.
 
-using Bytes = std::vector<std::byte>;
-
-constexpr int kMutationRounds = 2000;
-
-/// Overwrites 1-4 random bytes with random values; one round in four also
-/// splices in a maximal varint (up to 2^64-1), so length and count prefixes
-/// meet the values that overflow bounds checks or huge allocations.
-Bytes mutate(Bytes in, Rng& rng) {
-  const auto flips = rng.uniform_int(1, 4);
-  for (std::int64_t f = 0; f < flips; ++f)
-    in[rng.bounded(in.size())] = static_cast<std::byte>(rng.bounded(256));
-  if (rng.bounded(4) == 0) {
-    Bytes huge(9, std::byte{0xFF});
-    huge.push_back(static_cast<std::byte>(1 + rng.bounded(127)));
-    const auto at = static_cast<std::ptrdiff_t>(rng.bounded(in.size()));
-    in.insert(in.begin() + at, huge.begin(), huge.end());
-  }
-  return in;
-}
+using tart::testing::Bytes;
+using tart::testing::kMutationRounds;
+using tart::testing::mutate;
 
 Bytes read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

@@ -2,9 +2,13 @@
 // mutation fuzz, mirroring tests/net_frame_test.cc), the non-throwing
 // Runtime::try_inject* surface, and the live Gateway endpoints over real
 // sockets — ack-implies-durable, typed rejections, admission control,
-// long-poll output drain, and pipelining.
+// long-poll output drain (parked polls woken by delivery), and pipelining.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -18,6 +22,7 @@
 #include "gateway/http.h"
 #include "obs/exposition.h"
 #include "obs/node_report.h"
+#include "obs/prof.h"
 #include "gateway/http_client.h"
 #include "net/topologies.h"
 
@@ -362,6 +367,38 @@ bool fresh_output_with_origin(const std::string& body,
   return false;
 }
 
+/// Times the named profiler span has been entered in this process.
+std::uint64_t span_count(const std::string& name) {
+  for (const auto& site : obs::prof::snapshot().sites)
+    if (site.name == name) return site.count;
+  return 0;
+}
+
+/// Sends one GET over a fresh socket and returns the socket unread, so a
+/// test can close it while the request is still being served.
+int send_get(std::uint16_t port, const std::string& target) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  const std::string request = "GET " + target + " HTTP/1.1\r\n\r\n";
+  EXPECT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  return fd;
+}
+
+/// Closes with SO_LINGER 0: the peer sees a reset (an error event even on a
+/// read-paused connection), not an orderly end of stream.
+void close_with_reset(int fd) {
+  const linger abort{1, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &abort, sizeof(abort));
+  ::close(fd);
+}
+
 class GatewayTest : public ::testing::Test {
  protected:
   void start(gateway::Gateway::Options options = {},
@@ -492,6 +529,115 @@ TEST_F(GatewayTest, LongPollWakesOnNewOutput) {
   feeder.join();
   EXPECT_EQ(resp.status, 200);
   EXPECT_TRUE(fresh_output_with_origin(resp.body, "late")) << resp.body;
+}
+
+TEST_F(GatewayTest, ParkedLongPollReadsTheSinkOnlyOnArrivalAndDeadline) {
+  start();
+  auto c = client();
+  const std::uint64_t before = span_count("gw.outputs");
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto resp = c.get("/outputs/out?wait_ms=200");
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, 180ms);
+  EXPECT_EQ(resp.status, 200);
+  EXPECT_TRUE(resp.body.empty());
+  ASSERT_NE(resp.header("X-Tart-Next"), nullptr);
+  EXPECT_EQ(*resp.header("X-Tart-Next"), "0");
+  // Nothing was delivered, so nothing may re-read the sink in between.
+  const std::uint64_t reads = span_count("gw.outputs") - before;
+  EXPECT_GE(reads, 1u);
+  EXPECT_LE(reads, 2u);
+}
+
+TEST_F(GatewayTest, OneDeliveryWakesEveryLongPollOnTheWire) {
+  start();
+  std::vector<gateway::HttpResponse> got(2);
+  std::vector<std::thread> pollers;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    pollers.emplace_back([this, &got, i] {
+      auto c = gateway::BlockingHttpClient::connect(addr_);
+      ASSERT_TRUE(c.has_value());
+      got[i] = c->get("/outputs/out?wait_ms=20000");
+    });
+  }
+  std::this_thread::sleep_for(100ms);  // both park
+  const auto t0 = std::chrono::steady_clock::now();
+  auto c = client();
+  ASSERT_EQ(c.post("/inject/in?vt=1000", "once", "text/plain").status, 200);
+  for (auto& t : pollers) t.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 10s);
+  for (const auto& resp : got) {
+    EXPECT_EQ(resp.status, 200);
+    EXPECT_TRUE(fresh_output_with_origin(resp.body, "once")) << resp.body;
+    ASSERT_NE(resp.header("X-Tart-Next"), nullptr);
+    EXPECT_EQ(*resp.header("X-Tart-Next"), "1");
+  }
+}
+
+TEST_F(GatewayTest, ConnectionClosedWhileParkedThenDeliveryIsClean) {
+  start();
+  const int orderly = send_get(gw_->port(), "/outputs/out?wait_ms=20000");
+  const int reset = send_get(gw_->port(), "/outputs/out?wait_ms=20000");
+  std::this_thread::sleep_for(100ms);  // both park
+  ::close(orderly);
+  close_with_reset(reset);
+  std::this_thread::sleep_for(50ms);  // the gateway drops the reset one
+
+  // The delivery wakes what is left parked; a live poll still gets it and
+  // the gateway keeps serving.
+  auto c = client();
+  ASSERT_EQ(c.post("/inject/in?vt=1000", "after", "text/plain").status, 200);
+  const auto resp = c.get("/outputs/out?wait_ms=5000");
+  EXPECT_TRUE(fresh_output_with_origin(resp.body, "after")) << resp.body;
+  EXPECT_EQ(c.get("/healthz").status, 200);
+}
+
+TEST_F(GatewayTest, ShutdownWithParkedPollIsPromptAndUnhooksDelivery) {
+  start();
+  const int fd = send_get(gw_->port(), "/outputs/out?wait_ms=30000");
+  std::this_thread::sleep_for(100ms);  // parks
+  const auto t0 = std::chrono::steady_clock::now();
+  gw_->shutdown();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 2s);
+  gw_.reset();
+  ::close(fd);
+
+  // The runtime outlives the gateway: its deliveries must not reach it.
+  rt_->inject_at(app_.in(), VirtualTime(1000), Payload("late"));
+  ASSERT_TRUE(rt_->drain());
+  EXPECT_EQ(rt_->output_count(app_.out()), 1u);
+}
+
+TEST_F(GatewayTest, OutputCursorPastTheEndAndMaxKeepNextValues) {
+  start();
+  auto c = client();
+  for (int i = 1; i <= 3; ++i)
+    ASSERT_EQ(c.post("/inject/in?vt=" + std::to_string(i * 1000),
+                     "r" + std::to_string(i), "text/plain")
+                  .status,
+              200);
+  ASSERT_EQ(c.post("/drain", "").status, 200);
+
+  struct Case {
+    std::string query;
+    std::size_t lines;
+    std::string next;
+  };
+  for (const Case& k : {Case{"max=2", 2, "2"}, Case{"after=1&max=1", 1, "2"},
+                        Case{"after=2&max=5", 1, "3"}, Case{"after=3", 0, "3"},
+                        Case{"after=7", 0, "3"},
+                        Case{"after=7&wait_ms=30", 0, "3"}}) {
+    const auto resp = c.get("/outputs/out?" + k.query);
+    EXPECT_EQ(resp.status, 200) << k.query;
+    EXPECT_EQ(static_cast<std::size_t>(
+                  std::count(resp.body.begin(), resp.body.end(), '\n')),
+              k.lines)
+        << k.query;
+    ASSERT_NE(resp.header("X-Tart-Next"), nullptr) << k.query;
+    EXPECT_EQ(*resp.header("X-Tart-Next"), k.next) << k.query;
+  }
+  EXPECT_NE(c.get("/outputs/out?after=1&max=1").body.find("r2"),
+            std::string::npos);
+  EXPECT_EQ(c.get("/outputs/out?max=0").status, 400);
 }
 
 TEST_F(GatewayTest, PipelinedRequestsAnswerInOrder) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/virtual_time.h"
+#include "fuzz_util.h"
 #include "net/wire_format.h"
 #include "transport/frame.h"
 #include "wire/message.h"
@@ -218,6 +219,31 @@ TEST(TransportFrameFuzzTest, BitFlipsEitherDecodeOrThrowTyped) {
       }
     }
   }
+}
+
+// --- Fuzz: the peer control bodies (HELLO, placement and cover updates) ---
+
+TEST(PeerBodyFuzzTest, ControlBodiesDecodeOrFailTyped) {
+  using tart::testing::fuzz_decoder;
+  const HelloBody hello{"left", 0xFEEDull, 7, {{1, 2, 7}, {3, 0, 6}},
+                        {{4, 90}, {5, 12}}};
+  const PlacementUpdateBody update{8, hello.moves};
+  const CoverUpdateBody cover{hello.covered};
+  fuzz_decoder<serde::DecodeError>(
+      hello.encode(), 0x4E110, [](const std::vector<std::byte>& b) {
+        (void)HelloBody::decode(b);
+        return true;
+      });
+  fuzz_decoder<serde::DecodeError>(
+      update.encode(), 0x9A7E, [](const std::vector<std::byte>& b) {
+        (void)PlacementUpdateBody::decode(b);
+        return true;
+      });
+  fuzz_decoder<serde::DecodeError>(
+      cover.encode(), 0xC0FE, [](const std::vector<std::byte>& b) {
+        (void)CoverUpdateBody::decode(b);
+        return true;
+      });
 }
 
 TEST(NetFrameTest, HelloBodyRoundTripsAndRejectsTrailing) {

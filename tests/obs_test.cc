@@ -11,6 +11,7 @@
 
 #include "core/metrics.h"
 #include "core/status.h"
+#include "fuzz_util.h"
 #include "obs/exposition.h"
 #include "obs/node_report.h"
 #include "obs/registry.h"
@@ -458,6 +459,33 @@ TEST(NodeReportCodec, RoundTripsEverySection) {
   longer.push_back(std::byte{0});
   EXPECT_THROW((void)NodeReport::decode(longer.data(), longer.size()),
                serde::DecodeError);
+}
+
+TEST(NodeReportCodec, TruncationsAndMutationsDecodeOrFailTyped) {
+  // POST /obs bodies come from other nodes: a forged count (samples,
+  // labels, histogram buckets, exemplars) must not buy an allocation the
+  // bytes left cannot back.
+  Registry reg;
+  reg.counter("tart_messages_processed_total", "help", {{"component", "m"}})
+      .inc(5);
+  Histogram& h = reg.histogram("tart_pessimism_stall_seconds", "help", {},
+                               1e-3, 8);
+  h.enable_exemplars(4);
+  h.record(0.002, Exemplar{0.002, 3, 1, 7});
+  h.record(0.02, Exemplar{0.02, 4, 1, 8});
+  NodeReport report;
+  report.node = "left";
+  report.samples = reg.samples();
+  core::ComponentStatus c;
+  c.id = ComponentId(2);
+  c.name = "merger";
+  c.inputs.push_back({WireId(7), "sender1", 100, 3, true});
+  report.status.components.push_back(c);
+  tart::testing::fuzz_decoder<serde::DecodeError>(
+      report.encode(), 0x0B5E, [](const std::vector<std::byte>& b) {
+        (void)NodeReport::decode(b.data(), b.size());
+        return true;
+      });
 }
 
 TEST(StatusJson, HeldFieldsOmittedWhenNotHeld) {

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "fuzz_util.h"
 #include "net/partition_config.h"
 #include "net/stream_channel.h"
 #include "placement/journal.h"
@@ -319,6 +320,15 @@ TEST(MigrationSliceTest, CorruptBlobDecodesToNullopt) {
   EXPECT_FALSE(MigrationSlice::decode({}).has_value());
   blob.resize(blob.size() / 2);
   EXPECT_FALSE(MigrationSlice::decode(blob).has_value());
+}
+
+TEST(MigrationSliceTest, TruncationsAndMutationsDecodeOrAreRefused) {
+  // A slice arrives from the migration source node: a damaged one must be
+  // refused (nullopt), never crash or allocate for a forged count.
+  tart::testing::fuzz_decoder<serde::DecodeError>(
+      make_slice().encode(), 0x511CE, [](const std::vector<std::byte>& b) {
+        return MigrationSlice::decode(b).has_value();
+      });
 }
 
 // --- Stream channel ---------------------------------------------------------

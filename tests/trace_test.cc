@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <thread>
 
+#include "fuzz_util.h"
 #include "serde/archive.h"
 #include "trace/diff.h"
 #include "trace/recorder.h"
@@ -154,6 +155,15 @@ TEST(TraceFileTest, RejectsTruncation) {
     EXPECT_THROW((void)TraceReader::read_bytes(cut), TraceError)
         << "prefix of " << len;
   }
+}
+
+TEST(TraceFileTest, TruncationsAndMutationsDecodeOrFailTyped) {
+  tart::testing::fuzz_decoder<TraceError>(
+      encode_trace(sample_trace()), 0x7ACE,
+      [](const std::vector<std::byte>& b) {
+        (void)TraceReader::read_bytes(b);
+        return true;
+      });
 }
 
 TEST(TraceFileTest, RejectsTrailingGarbage) {

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstdarg>
-#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -58,67 +57,6 @@ inline std::string fmt(const char* format, ...) {
   std::vsnprintf(buf, sizeof(buf), format, args);
   va_end(args);
   return buf;
-}
-
-/// Machine-readable companion to the tables: `--json[=FILE]` makes a bench
-/// collect flat named metrics and emit one JSON object
-/// `{"bench":NAME,"metrics":{...}}`. scripts/check.sh --smoke gathers
-/// these into BENCH_<name>.json so CI runs leave comparable artifacts.
-class JsonResult {
- public:
-  explicit JsonResult(std::string bench) : bench_(std::move(bench)) {}
-
-  void metric(const std::string& key, double value) {
-    entries_.emplace_back(key, fmt("%.6g", value));
-  }
-  void metric(const std::string& key, std::uint64_t value) {
-    entries_.emplace_back(key,
-                          fmt("%llu", static_cast<unsigned long long>(value)));
-  }
-
-  /// Writes to `path`, or stdout when path is empty. Keys are emitted in
-  /// insertion order; values are bare JSON numbers.
-  bool write(const std::string& path) const {
-    std::string out = "{\"bench\":\"" + bench_ + "\",\"metrics\":{";
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      if (i > 0) out += ',';
-      out += '"' + entries_[i].first + "\":" + entries_[i].second;
-    }
-    out += "}}\n";
-    if (path.empty()) {
-      std::fputs(out.c_str(), stdout);
-      return true;
-    }
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", path.c_str());
-      return false;
-    }
-    const bool ok = std::fwrite(out.data(), 1, out.size(), f) == out.size();
-    std::fclose(f);
-    return ok;
-  }
-
- private:
-  std::string bench_;
-  std::vector<std::pair<std::string, std::string>> entries_;
-};
-
-/// Shared flag vocabulary: recognizes `--json` / `--json=FILE` in `arg`.
-/// Returns true when consumed (json_path set to "" for bare --json).
-inline bool parse_json_flag(const std::string& arg, bool* json,
-                            std::string* json_path) {
-  if (arg == "--json") {
-    *json = true;
-    json_path->clear();
-    return true;
-  }
-  if (arg.rfind("--json=", 0) == 0) {
-    *json = true;
-    *json_path = arg.substr(7);
-    return true;
-  }
-  return false;
 }
 
 }  // namespace tart::bench

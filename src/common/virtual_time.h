@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <compare>
 #include <limits>
+#include <optional>
 #include <ostream>
 #include <string>
 
@@ -121,6 +122,15 @@ class VirtualTime {
 }
 [[nodiscard]] constexpr VirtualTime min(VirtualTime a, VirtualTime b) {
   return a < b ? a : b;
+}
+
+/// `t + d`, or nullopt when the sum has no tick to name (it would overflow
+/// past infinity). A horizon offset from an infinite lower bound lands here.
+[[nodiscard]] constexpr std::optional<VirtualTime> checked_add(
+    VirtualTime t, TickDuration d) {
+  std::int64_t sum = 0;
+  if (__builtin_add_overflow(t.ticks(), d.ticks(), &sum)) return std::nullopt;
+  return VirtualTime(sum);
 }
 
 inline std::ostream& operator<<(std::ostream& os, VirtualTime t) {

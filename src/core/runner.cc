@@ -891,12 +891,18 @@ void ComponentRunner::publish_idle_horizons_locked() {
       advance_published(*out, VirtualTime::infinity());
       continue;
     }
-    VirtualTime h = lb + estimators_.future_min_estimate(lb) +
-                    out->delay->min_delay() - TickDuration(1);
-    if (bias_.enabled())
-      h = max(h, bias_.eager_promise(
-                     current_vt_.load(std::memory_order_relaxed)));
-    advance_published(*out, h);
+    // lb is infinite once every non-self wire is closed and no head is
+    // pending; the estimate then names no tick and only the bias promise
+    // can advance the horizon.
+    std::optional<VirtualTime> h =
+        checked_add(lb, estimators_.future_min_estimate(lb) +
+                            out->delay->min_delay() - TickDuration(1));
+    if (bias_.enabled()) {
+      const VirtualTime eager =
+          bias_.eager_promise(current_vt_.load(std::memory_order_relaxed));
+      h = h ? max(*h, eager) : eager;
+    }
+    if (h) advance_published(*out, *h);
     // Self wires: the freshly computed horizon feeds straight back into
     // our own inbox (no probe round trip; delivery on self wires is
     // synchronous and lossless, so no tick accounting is needed).

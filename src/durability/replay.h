@@ -6,8 +6,9 @@
 // catch-up window: external output callbacks are suppressed (the outside
 // world already saw these messages — replay must be invisible, §II.A), and
 // the caller blocks until the wavefront has consumed the whole suffix.
-// RTO therefore scales with the suffix length, not the log length —
-// bench/bench_recovery.cc measures exactly this.
+// RTO therefore scales with the suffix length, not the log length:
+// TieredRestartTest.SuffixReplayIsIndependentOfCoveredPrefixLength pins
+// the replayed count, and perfbench restart-replay times it.
 #pragma once
 
 #include <chrono>

@@ -471,7 +471,7 @@ void Gateway::handle_request(std::uint64_t id, HttpRequest req) {
     // pessimism-stall and probe-RTT histograms, and the gateway's own
     // latency/batch cells.
     respond(id, 200, {{"Content-Type", obs::kPrometheusContentType}},
-            obs::render_prometheus(snapshot(), &runtime_->registry(),
+            obs::render_prometheus(snapshot(), runtime_->registry(),
                                    options_.exemplars),
             req.keep_alive);
     return;
@@ -880,19 +880,12 @@ void Gateway::committer_main() {
       results.assign(batch.size(),
                      core::InjectResult{core::InjectStatus::kStoreFailed,
                                         VirtualTime(-1)});
-    } else if (options_.group_commit) {
+    } else {
       TART_PROF_SPAN("gw.group_commit");
       std::vector<core::InjectRequest> requests;
       requests.reserve(batch.size());
       for (const auto& p : batch) requests.push_back(p.request);
       results = runtime_->try_inject_batch(requests);
-    } else {
-      // Baseline mode: identical durability, one flush per request.
-      TART_PROF_SPAN("gw.group_commit");
-      results.reserve(batch.size());
-      for (const auto& p : batch) {
-        results.push_back(runtime_->try_inject_batch({p.request}).front());
-      }
     }
 
     commit_batches_.fetch_add(1);

@@ -100,9 +100,6 @@ class Gateway {
     /// Beyond it the gateway answers 429 + Retry-After instead of buying
     /// unbounded memory (backpressure to the outside world).
     std::size_t max_inflight_per_wire = 1024;
-    /// false = one stamp+log+flush per request (bench baseline); the
-    /// durability contract is identical, only the batching differs.
-    bool group_commit = true;
     std::size_t max_batch = 256;  ///< cap on one group-commit round
     int retry_after_seconds = 1;  ///< advertised in 429 responses
     /// OpenMetrics mode for GET /metrics: histogram buckets that captured

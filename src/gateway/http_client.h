@@ -1,9 +1,9 @@
-// Minimal blocking HTTP/1.1 client for the tools, tests and benches.
+// Minimal blocking HTTP/1.1 client for the tools, tests and perfbench.
 //
 // Deliberately simple: one connection, keep-alive, synchronous
 // request/response, reusing HttpParser-style incremental response reading.
 // tart-obs polls GET /obs and tart-node --push POSTs /obs through it; the
-// test suite and bench_gateway use it so they need no third-party HTTP
+// test suite and perfbench use it so they need no third-party HTTP
 // library. External clients speak ordinary HTTP.
 #pragma once
 

@@ -183,7 +183,6 @@ void NetHost::start() {
     // address (deployment `http` directive).
     gateway::Gateway::Options gw_options;
     gw_options.listen = options_.http_addr;
-    gw_options.group_commit = options_.http_group_commit;
     gw_options.exemplars = options_.http_exemplars;
     gateway::Gateway::Host host;
     host.node = self_->name;

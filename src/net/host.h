@@ -47,7 +47,6 @@ struct HostOptions {
   /// The gateway serves only the inputs/outputs adaptable on THIS
   /// partition (clients talk to the node hosting the component).
   std::string http_addr;
-  bool http_group_commit = true;  ///< see gateway::Gateway::Options
   /// Render OpenMetrics exemplars on the gateway's GET /metrics (stall
   /// episode ids linking fat buckets to `tart-trace explain --episode`).
   bool http_exemplars = false;

@@ -260,27 +260,18 @@ std::string render_prometheus_samples(const std::vector<Sample>& samples,
 }
 
 std::string render_prometheus(const core::MetricsSnapshot& snap,
-                              const Registry* registry,
+                              const Registry& registry,
                               bool with_exemplars) {
 #define TART_OBS_TYPE_SUM "counter"
 #define TART_OBS_TYPE_MAX "gauge"
   std::string out;
-  if (registry == nullptr) {
-    // No registry (bench one-shots): the per-component totals come from
-    // the snapshot, unlabelled.
-#define TART_OBS_EMIT(field, prom, help, agg, scale) \
-  append_scalar_family(out, prom, help, TART_OBS_TYPE_##agg, scale, snap.field);
-    TART_METRICS_COMPONENT_FIELDS(TART_OBS_EMIT)
-#undef TART_OBS_EMIT
-  }
 #define TART_OBS_EMIT(field, prom, help, agg, scale) \
   append_scalar_family(out, prom, help, TART_OBS_TYPE_##agg, scale, snap.field);
   TART_METRICS_GLOBAL_FIELDS(TART_OBS_EMIT)
 #undef TART_OBS_EMIT
 #undef TART_OBS_TYPE_SUM
 #undef TART_OBS_TYPE_MAX
-  if (registry != nullptr)
-    out += render_prometheus_samples(registry->samples(), with_exemplars);
+  out += render_prometheus_samples(registry.samples(), with_exemplars);
   return out;
 }
 

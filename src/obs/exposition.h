@@ -34,14 +34,13 @@ inline constexpr const char* kPrometheusContentType =
     "text/plain; version=0.0.4";
 
 /// Renders a full exposition page: the snapshot's process-wide scalar
-/// fields plus, when `registry` is non-null, every registered series
-/// (labelled per-component counters, stall/estimator/gateway histograms).
-/// With a registry present the snapshot's per-component fields are
-/// skipped — the registry carries them as labelled families, and emitting
-/// both would be the two-divergent-counting-paths bug this module exists
-/// to kill.
+/// fields plus every registered series (labelled per-component counters,
+/// stall/estimator/gateway histograms). The snapshot's per-component
+/// fields are skipped — the registry carries them as labelled families,
+/// and emitting both would be the two-divergent-counting-paths bug this
+/// module exists to kill.
 [[nodiscard]] std::string render_prometheus(const core::MetricsSnapshot& snap,
-                                            const Registry* registry,
+                                            const Registry& registry,
                                             bool with_exemplars = false);
 
 /// Renders pre-collected samples only (tart-obs --series, cross-node

@@ -1,7 +1,5 @@
 #include "obs/prof.h"
 
-#include <time.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -130,17 +128,10 @@ void append_json_escaped(std::string& out, const std::string& s) {
 }  // namespace
 
 std::uint64_t now_ns() {
-#if defined(TART_PROF_CLOCK_RAW)
-  timespec ts;
-  ::clock_gettime(CLOCK_MONOTONIC_RAW, &ts);
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ull +
-         static_cast<std::uint64_t>(ts.tv_nsec);
-#else
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-#endif
 }
 
 SiteId register_span(const char* name) {

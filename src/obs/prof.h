@@ -4,7 +4,7 @@
 // path; TART_PROF_BYTES / TART_PROF_COUNT account memory traffic (copies,
 // allocations) on the wire path. Every record is a thread-local relaxed
 // atomic update — no lock, no allocation, no branch on shared state — so
-// the profiler can stay on in production (< 1% of bench_net throughput).
+// the profiler can stay on in production; set_enabled(false) turns it off.
 // A background sweep (NetHost::gauge_sweep) harvests the accumulators into
 // `tart_prof_*` registry cells; GET /profile and `tart-obs top` read the
 // same snapshot.
@@ -16,10 +16,7 @@
 //      decision. Two seeded runs with profiling on or off produce
 //      byte-identical flight-recorder traces
 //      (tests/trace_determinism_test.cc pins this).
-//   2. Compiled-out-to-nothing. -DTART_PROF=OFF (CMake option) makes every
-//      macro expand to nothing; the API below still exists and links so
-//      harvest/readout call sites need no guards.
-//   3. Fixed memory. Sites are registered once per call site into a fixed
+//   2. Fixed memory. Sites are registered once per call site into a fixed
 //      table (kMaxSites); each thread owns a flat accumulator block.
 //      Registration past the cap is silently ignored (never a crash).
 //
@@ -53,13 +50,13 @@ enum class SiteKind : std::uint8_t { kSpan = 0, kBytes = 1 };
 SiteId register_span(const char* name);
 SiteId register_bytes(const char* name);
 
-/// Runtime kill switch (compile-time kill is the TART_PROF CMake option).
+/// The kill switch: while off, every span and counter is a no-op.
 /// Used by the determinism tests to compare on-vs-off traces in one build.
 void set_enabled(bool on);
 [[nodiscard]] bool enabled();
 
 /// Current profiling clock, nanoseconds from an arbitrary epoch.
-/// steady_clock by default; CLOCK_MONOTONIC_RAW with -DTART_PROF_CLOCK=raw.
+/// std::chrono::steady_clock.
 [[nodiscard]] std::uint64_t now_ns();
 
 /// Record one completed span / one byte-counter delta. Relaxed atomics on
@@ -133,8 +130,6 @@ inline constexpr const char* kLoopWorkSpans[] = {"loop.posted", "loop.timers",
 
 // --- Macros -----------------------------------------------------------------
 
-#if defined(TART_PROF_ENABLED) && TART_PROF_ENABLED
-
 #define TART_PROF_INTERNAL_CAT2(a, b) a##b
 #define TART_PROF_INTERNAL_CAT(a, b) TART_PROF_INTERNAL_CAT2(a, b)
 
@@ -178,12 +173,3 @@ inline constexpr const char* kLoopWorkSpans[] = {"loop.posted", "loop.timers",
                              static_cast<std::uint64_t>(n), 0);          \
     }                                                                    \
   } while (0)
-
-#else  // profiling compiled out: every site is zero instructions
-
-#define TART_PROF_SPAN(name) static_cast<void>(0)
-#define TART_PROF_SPAN_NS(name, ns) static_cast<void>(0)
-#define TART_PROF_BYTES(name, nbytes) static_cast<void>(0)
-#define TART_PROF_COUNT(name, n) static_cast<void>(0)
-
-#endif  // TART_PROF_ENABLED

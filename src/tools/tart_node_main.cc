@@ -1,8 +1,8 @@
 // tart-node: hosts one partition of a deployment in this OS process.
 //
 //   tart-node <deployment.conf> <partition> [--log-dir=DIR] [--trace=FILE]
-//             [--http=ADDR|PORT] [--no-group-commit] [--exemplars]
-//             [--gauge-interval-ms=N] [--push=ADDR[,INTERVALMS]]
+//             [--http=ADDR|PORT] [--exemplars] [--gauge-interval-ms=N]
+//             [--push=ADDR[,INTERVALMS]]
 //             [--checkpoint-interval-ms=N] [--checkpoint-bytes=N]
 //             [--checkpoint-keep=K] [--segment-bytes=N]
 //             [--migrate-crash-at=STAGE] [--verbose]
@@ -70,7 +70,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: tart-node <deployment.conf> <partition> "
                "[--log-dir=DIR] [--trace=FILE] [--http=ADDR|PORT] "
-               "[--no-group-commit] [--exemplars] [--gauge-interval-ms=N] "
+               "[--exemplars] [--gauge-interval-ms=N] "
                "[--push=ADDR[,INTERVALMS]] "
                "[--checkpoint-interval-ms=N] [--checkpoint-bytes=N] "
                "[--checkpoint-keep=K] [--segment-bytes=N] "
@@ -100,8 +100,6 @@ int main(int argc, char** argv) {
       options.trace_path = arg.substr(std::strlen("--trace="));
     } else if (arg.rfind("--http=", 0) == 0) {
       options.http_addr = http_addr_of(arg.substr(std::strlen("--http=")));
-    } else if (arg == "--no-group-commit") {
-      options.http_group_commit = false;
     } else if (arg == "--exemplars") {
       options.http_exemplars = true;
     } else if (arg.rfind("--gauge-interval-ms=", 0) == 0) {

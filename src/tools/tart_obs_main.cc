@@ -564,7 +564,7 @@ void print_top(const std::vector<std::pair<std::string, NodeProfile>>& nodes,
     }
   }
   if (rows.empty()) {
-    std::printf("  (no spans recorded; is the build TART_PROF=OFF?)\n");
+    std::printf("  (no spans recorded)\n");
     return;
   }
 

@@ -52,6 +52,21 @@ TEST(VirtualTimeTest, InfinitySaturates) {
   EXPECT_GT(inf, VirtualTime(1'000'000'000'000));
 }
 
+// An idle runner whose non-self wires are all closed offsets its silence
+// horizon from an infinite lower bound; the sum must not wrap.
+static_assert(!checked_add(VirtualTime::infinity(), TickDuration(10'000)));
+static_assert(checked_add(VirtualTime(5), TickDuration(10)) == VirtualTime(15));
+
+TEST(VirtualTimeTest, CheckedAddRefusesOverflow) {
+  const VirtualTime inf = VirtualTime::infinity();
+  EXPECT_EQ(checked_add(inf, TickDuration(10'000)), std::nullopt);
+  EXPECT_EQ(checked_add(inf, TickDuration(0)), inf);
+  EXPECT_EQ(checked_add(inf, TickDuration(-1)),
+            VirtualTime(inf.ticks() - 1));
+  EXPECT_EQ(checked_add(VirtualTime(7), TickDuration::micros(1)),
+            VirtualTime(1007));
+}
+
 TEST(VirtualTimeTest, PrevNext) {
   EXPECT_EQ(VirtualTime(7).next(), VirtualTime(8));
   EXPECT_EQ(VirtualTime(7).prev(), VirtualTime(6));

@@ -425,6 +425,59 @@ TEST_F(TieredRestartTest, RestartFromCheckpointMatchesFullReplayState) {
   rt.stop();
 }
 
+// Restart work is flat in log length: whatever prefix a durable checkpoint
+// covers, the restart replays only the post-checkpoint suffix, and gated
+// compaction keeps the on-disk log bounded. Counted, not timed.
+TEST_F(TieredRestartTest, SuffixReplayIsIndependentOfCoveredPrefixLength) {
+  constexpr int kSuffixPairs = 4;
+  struct Restart {
+    std::uint64_t suffix_records = 0;
+    std::uint64_t log_bytes = 0;
+  };
+  const auto crash_and_restart = [&](const std::string& log_dir,
+                                     int prefix_pairs) {
+    Restart result;
+    std::uint64_t fingerprint = 0;
+    {
+      DurableApp app;
+      core::Runtime rt(app.topo, app.placement(), durable_config(log_dir));
+      rt.start();
+      for (int i = 0; i < prefix_pairs; ++i) inject_pair(rt, app, i);
+      settle(rt);
+      const auto stats = rt.checkpoint_manager()->checkpoint_now();
+      EXPECT_TRUE(stats.ok) << stats.error;
+      EXPECT_EQ(stats.covered_records, 2u * prefix_pairs);
+      for (int i = 0; i < kSuffixPairs; ++i)
+        inject_pair(rt, app, prefix_pairs + i);
+      EXPECT_TRUE(rt.drain());
+      fingerprint = rt.state_fingerprint(app.merger);
+      result.log_bytes = rt.log_bytes_on_disk();
+      rt.stop();
+    }
+    DurableApp app;
+    core::Runtime rt(app.topo, app.placement(), durable_config(log_dir));
+    EXPECT_TRUE(rt.recovery_info().from_checkpoint);
+    EXPECT_EQ(rt.recovery_info().covered_records, 2u * prefix_pairs);
+    result.suffix_records = rt.recovery_info().suffix_records;
+    rt.start();
+    EXPECT_TRUE(durability::ReplayDriver::catch_up(rt).caught_up);
+    EXPECT_TRUE(rt.drain());
+    EXPECT_EQ(rt.state_fingerprint(app.merger), fingerprint)
+        << "prefix of " << prefix_pairs << " pairs";
+    rt.stop();
+    return result;
+  };
+
+  const Restart shorter = crash_and_restart((dir_ / "short").string(), 4);
+  const Restart longer = crash_and_restart((dir_ / "long").string(), 32);
+  EXPECT_EQ(shorter.suffix_records, 2u * kSuffixPairs);
+  EXPECT_EQ(longer.suffix_records, shorter.suffix_records);
+  ASSERT_GT(shorter.log_bytes, 0u);
+  EXPECT_LE(longer.log_bytes, 2 * shorter.log_bytes)
+      << "compaction left " << longer.log_bytes << " bytes for an 8x prefix vs "
+      << shorter.log_bytes;
+}
+
 TEST_F(TieredRestartTest, TornNewestCheckpointFallsBackAndStillMatches) {
   const std::string log_dir = dir_.string();
   std::uint64_t fingerprint = 0;

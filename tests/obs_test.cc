@@ -259,11 +259,17 @@ TEST(Exposition, RegistrySeriesRenderWithHelpAndType) {
   EXPECT_EQ(lint_exposition(page), std::nullopt) << *lint_exposition(page);
 }
 
-TEST(Exposition, SnapshotPageLintsCleanWithAndWithoutRegistry) {
+TEST(Exposition, SnapshotPageLintsCleanWithRegistry) {
   core::MetricsSnapshot snap;
   snap.messages_processed = 3;
-  snap.pessimism_wait_ns = 1'500'000'000;  // renders as 1.5 seconds
-  const std::string bare = render_prometheus(snap, nullptr);
+  snap.pessimism_wait_ns = 1'500'000'000;
+
+  // A nanosecond counter carries its ns -> s scale and renders as seconds.
+  Registry ns_only;
+  ns_only.counter("tart_pessimism_wait_seconds_total", "Pessimism wait", {},
+                  1e-9)
+      .inc(1'500'000'000);
+  const std::string bare = render_prometheus(snap, ns_only);
   EXPECT_EQ(lint_exposition(bare), std::nullopt) << *lint_exposition(bare);
   EXPECT_NE(bare.find("tart_pessimism_wait_seconds_total 1.5"),
             std::string::npos)
@@ -273,7 +279,7 @@ TEST(Exposition, SnapshotPageLintsCleanWithAndWithoutRegistry) {
   reg.counter("tart_messages_processed_total", "Messages",
               {{"component", "m"}})
       .inc(3);
-  const std::string page = render_prometheus(snap, &reg);
+  const std::string page = render_prometheus(snap, reg);
   EXPECT_EQ(lint_exposition(page), std::nullopt) << *lint_exposition(page);
   // With a registry the per-component families come from it, labelled;
   // the unlabelled snapshot rendering must NOT appear beside them.

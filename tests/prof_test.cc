@@ -1,7 +1,5 @@
 // Hot-path span profiler: accounting math, cross-thread merge, registry
-// harvest, byte counters on a round-tripped envelope, and the OFF-mode
-// contract (API links and stays callable even when the macros compile to
-// nothing — this file builds in both TART_PROF modes).
+// harvest, byte counters on a round-tripped envelope, and the macros.
 #include "obs/prof.h"
 
 #include <gtest/gtest.h>
@@ -126,16 +124,12 @@ TEST_F(ProfTest, ByteCountersTrackRoundTrippedEnvelope) {
   const tart::Payload back = tart::Payload::decode(r);
   EXPECT_EQ(back, payload);
 
-#if defined(TART_PROF_ENABLED) && TART_PROF_ENABLED
   const auto snap = prof::snapshot();
   const auto* s = find(snap, "serde.archive");
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->kind, prof::SiteKind::kBytes);
   EXPECT_GE(s->count, 1u);
   EXPECT_GE(s->total, encoded_size);
-#else
-  (void)encoded_size;  // macros compiled out: nothing recorded, still links
-#endif
 }
 
 TEST_F(ProfTest, HarvestIntoRegistrySetsProfCells) {
@@ -197,7 +191,6 @@ TEST_F(ProfTest, MacrosCompileAndRecord) {
     TART_PROF_COUNT("prof_test.macro_count", 5);
     TART_PROF_SPAN_NS("prof_test.macro_ns", 42);
   }
-#if defined(TART_PROF_ENABLED) && TART_PROF_ENABLED
   const auto snap = prof::snapshot();
   const auto* span = find(snap, "prof_test.macro_span");
   ASSERT_NE(span, nullptr);
@@ -211,7 +204,6 @@ TEST_F(ProfTest, MacrosCompileAndRecord) {
   const auto* ns = find(snap, "prof_test.macro_ns");
   ASSERT_NE(ns, nullptr);
   EXPECT_EQ(ns->total, 42u);
-#endif
 }
 
 }  // namespace

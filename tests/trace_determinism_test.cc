@@ -356,14 +356,12 @@ TEST(TraceDeterminism, ProfilingOnVsOffTracesAreByteIdentical) {
     obs::prof::set_enabled(true);
     run_traced(seed, on, RuntimeConfig{});
 
-#if defined(TART_PROF_ENABLED) && TART_PROF_ENABLED
     // The profiled run actually recorded spans (otherwise this proves
     // nothing): runner.dispatch fires once per delivered message.
     bool saw_dispatch = false;
     for (const auto& s : obs::prof::snapshot().sites)
       if (s.name == "runner.dispatch" && s.count > 0) saw_dispatch = true;
     EXPECT_TRUE(saw_dispatch) << "seed " << seed;
-#endif
 
     EXPECT_EQ(file_bytes(off), file_bytes(on))
         << "profiling perturbed the trace for seed " << seed;

@@ -57,7 +57,7 @@ std::vector<std::shared_ptr<ComponentRunner>> Engine::pin_all() const {
   return out;
 }
 
-void Engine::start() {
+void Engine::restore() {
   // Starting is the same protocol as recovering: restore whatever the
   // replica holds (nullopt -> fresh component) and request replay past the
   // restored positions. On a fresh deployment the requests are no-ops; on
@@ -81,7 +81,17 @@ void Engine::start() {
     const std::lock_guard<std::mutex> lk(map_mu_);
     runners_ = std::move(runners);
   }
+}
+
+void Engine::request_replays() {
   for (const auto& r : pin_all()) r->request_replays();
+}
+
+void Engine::serve_replays() {
+  for (const auto& r : pin_all()) r->serve_queued_control();
+}
+
+void Engine::start() {
   for (const auto& r : pin_all()) r->start();
   started_ = true;
   if (config_.silence.aggressive_interval.count() > 0 &&

@@ -50,6 +50,13 @@ class Engine {
   /// Registers a component placed on this engine (before start()).
   void add_component(ComponentId component);
 
+  /// Starting is the recover() protocol in steps, so a runtime can finish
+  /// each step on every engine before the next: restore every component
+  /// from the replica, ask upstream for replays past the restored
+  /// positions, serve those replays, then start the scheduler threads.
+  void restore();
+  void request_replays();
+  void serve_replays();
   void start();
   void stop();
 

@@ -619,8 +619,8 @@ void ComponentRunner::serve_control(const ControlMsg& msg) {
     const auto it = outputs_.find(replay->wire);
     if (it == outputs_.end()) return;
     OutputState& out = *it->second;
-    for (const Message& m : out.retention.replay_from_seq(replay->from_seq))
-      router_.to_receiver(m.wire, transport::DataFrame{m});
+    for (Message& m : out.retention.replay_from_seq(replay->from_seq))
+      router_.to_receiver(replay->wire, transport::DataFrame{std::move(m)});
     // Follow with the current horizon so the receiver is not stuck waiting
     // for silence that was announced before its failover.
     const std::uint64_t seq = out.next_seq.load();
@@ -823,9 +823,12 @@ VirtualTime ComponentRunner::emit(OutputState& out, VirtualTime cursor,
 
   // Retention keeps a full copy of every sent message until the receiver's
   // checkpoint horizon passes it — the steady-state memory cost the
-  // zero-copy work needs a baseline for.
-  TART_PROF_BYTES("runner.retention", msg.payload.approx_bytes());
-  out.retention.record(msg);
+  // zero-copy work needs a baseline for. An external consumer never asks
+  // for a replay (nor acknowledges), so its wire retains nothing.
+  if (out.spec.kind != WireKind::kExternalOutput) {
+    TART_PROF_BYTES("runner.retention", msg.payload.approx_bytes());
+    out.retention.record(msg);
+  }
   out.last_sent = vt;
   router_.to_receiver(out.spec.id, transport::DataFrame{msg});
   // Only after the data frame is en route may the accounting cover its
@@ -1076,6 +1079,12 @@ void ComponentRunner::restore_from(
       out.delay->restore(r);
     }
   }
+}
+
+void ComponentRunner::serve_queued_control() {
+  assert(!thread_.joinable());
+  std::unique_lock<std::mutex> lk(mu_);
+  drain_control(lk);
 }
 
 void ComponentRunner::request_replays() {

@@ -137,6 +137,10 @@ class ComponentRunner {
   /// ticks past the restored positions.
   void request_replays();
 
+  /// Serves the queued control messages (replay requests from restored
+  /// receivers) on the calling thread, as the scheduler thread would first.
+  void serve_queued_control();
+
   // --- Introspection ------------------------------------------------------
 
   [[nodiscard]] ComponentId id() const { return id_; }

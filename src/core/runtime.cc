@@ -90,8 +90,10 @@ Runtime::Runtime(Topology topology, std::map<ComponentId, EngineId> placement,
     seg_opts.segment_bytes = d.segment_bytes;
     segment_store_ = std::make_unique<log::SegmentedStore>(
         config_.log_dir, "messages", seg_opts);
-    message_log_.load_records(segment_store_->scan_all(),
-                              segment_store_->first_retained_index());
+    message_log_.load(*segment_store_,
+                      newest.has_value()
+                          ? newest->checkpoint.covered_record_index
+                          : 0);
     message_log_.attach_store(segment_store_.get());
     recovery_.suffix_records = message_log_.total_size();
 
@@ -154,7 +156,15 @@ void Runtime::start() {
   // Starting IS recovering: every component restores from whatever the
   // replica holds (nothing, on a fresh deployment; persisted checkpoints,
   // on a cold restart over a log_dir) and asks upstream — external logs
-  // included — to replay everything past its restored position.
+  // included — to replay everything past its restored position. Every
+  // replay is requested and served before any runner thread runs: a sender
+  // already running would send live what a later request makes it send
+  // again, and a probe answered before the replay would report data the
+  // receiver lacks, so it would ask for the range twice. Either way the
+  // receiver discards the second copies as duplicates.
+  for (auto& [id, engine] : engines_) engine->restore();
+  for (auto& [id, engine] : engines_) engine->request_replays();
+  for (auto& [id, engine] : engines_) engine->serve_replays();
   for (auto& [id, engine] : engines_) engine->start();
   started_ = true;
   if (ckpt_manager_ != nullptr) ckpt_manager_->start();
@@ -553,9 +563,8 @@ void Runtime::handle_external_sender_frame(WireId wire,
     }
     // "If the 'sender' is an external component ... the messages are
     // re-sent from the log" (§II.F.4).
-    for (const Message& m :
-         message_log_.replay_from_seq(wire, replay->from_seq))
-      to_receiver(wire, transport::DataFrame{m});
+    for (Message& m : message_log_.replay_from_seq(wire, replay->from_seq))
+      to_receiver(wire, transport::DataFrame{std::move(m)});
     to_receiver(wire,
                 transport::SilenceFrame{
                     wire, closed ? VirtualTime::infinity() : through, seq});

@@ -30,6 +30,39 @@ std::map<WireId, std::uint64_t> cover_from_plans(
   return cover;
 }
 
+/// Drops retention no restart can ask for from `plans` before they are
+/// written: on a data wire whose receiver is local (its position is in the
+/// same file), every message below the receiver's next_seq; on an external
+/// output wire, everything (no consumer ever requests a replay).
+void drop_dead_retention(
+    const core::Runtime& runtime,
+    std::map<ComponentId, checkpoint::RestorePlan>& plans) {
+  const std::map<WireId, std::uint64_t> cover = cover_from_plans(plans);
+  const core::Topology& topology = runtime.topology();
+  for (auto& [component, plan] : plans) {
+    (void)component;
+    const auto prune = [&](checkpoint::ComponentSnapshot& snapshot) {
+      for (checkpoint::OutputPosition& out : snapshot.outputs) {
+        const core::WireSpec& spec = topology.wire(out.wire);
+        if (spec.kind == core::WireKind::kExternalOutput) {
+          out.retained.clear();
+          continue;
+        }
+        if (spec.kind != core::WireKind::kData ||
+            !runtime.engine_is_local(runtime.engine_of(spec.to)))
+          continue;
+        const auto below = cover.find(out.wire);
+        if (below == cover.end()) continue;
+        std::erase_if(out.retained, [&](const Message& m) {
+          return m.seq < below->second;
+        });
+      }
+    };
+    prune(plan.base);
+    for (checkpoint::ComponentSnapshot& delta : plan.deltas) prune(delta);
+  }
+}
+
 }  // namespace
 
 CheckpointManager::CheckpointManager(core::Runtime& runtime,
@@ -108,6 +141,7 @@ CheckpointStats CheckpointManager::checkpoint_now() {
   DurableCheckpoint c;
   c.deployment_fp = config_.deployment_fp;
   c.plans = runtime_.replica().export_plans();
+  drop_dead_retention(runtime_, c.plans);
   std::map<WireId, std::uint64_t> covered;
   for (const WireId wire : runtime_.external_input_wires()) {
     const ComponentId consumer = runtime_.topology().wire(wire).to;

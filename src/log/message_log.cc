@@ -55,35 +55,39 @@ void ExternalMessageLog::attach_store(SegmentedStore* store) {
   store_ = store;
 }
 
-void ExternalMessageLog::load_records(
-    const std::vector<std::vector<std::byte>>& records,
-    std::uint64_t first_index) {
-  // Decode everything before touching the log: a record that does not
-  // decode (or carries trailing bytes) fails the whole load cleanly.
-  std::vector<Message> decoded;
-  decoded.reserve(records.size());
-  for (const auto& record : records) {
-    serde::Reader r(record);
-    decoded.push_back(Message::decode(r));
-    if (!r.at_end()) throw serde::DecodeError("trailing bytes in log record");
-  }
+void ExternalMessageLog::load(const SegmentedStore& store,
+                              std::uint64_t covered_index) {
+  // A checkpoint covering past the end of the log (its tail was lost) must
+  // not shift the order index: the next append gets next_index().
+  const std::uint64_t from = std::min(
+      std::max(covered_index, store.first_retained_index()),
+      store.next_index());
   const std::lock_guard<std::mutex> lock(mutex_);
-  order_base_ = first_index;
-  for (Message& m : decoded) {
+  // Decode into locals and install them only once every record decoded: a
+  // bad record (or trailing bytes) fails the whole load cleanly.
+  std::map<WireId, std::vector<Message>> entries;
+  std::deque<std::pair<WireId, std::uint64_t>> order;
+  store.read_from(from, [&](std::span<const std::byte> record) {
+    serde::Reader r(record.data(), record.size());
+    Message m = Message::decode(r);
+    if (!r.at_end()) throw serde::DecodeError("trailing bytes in log record");
     // The order index must mirror the store record-for-record — including
     // covered records whose segment has not been reclaimed yet — or a
     // later covered_record_index would point at the wrong segment.
-    order_.emplace_back(m.wire, m.seq);
+    order.emplace_back(m.wire, m.seq);
     const auto base = base_seq_.find(m.wire);
     if (base != base_seq_.end() && m.seq < base->second)
-      continue;  // covered by the restored checkpoint
-    entries_[m.wire].push_back(std::move(m));
-  }
+      return;  // covered by the restored checkpoint
+    entries[m.wire].push_back(std::move(m));
+  });
   // Batched appends from one writer may interleave with single appends
   // from another across wires; per wire the seq order is authoritative.
-  for (auto& [wire, list] : entries_)
+  for (auto& [wire, list] : entries)
     std::sort(list.begin(), list.end(),
               [](const Message& a, const Message& b) { return a.seq < b.seq; });
+  order_base_ = from;
+  order_ = std::move(order);
+  entries_ = std::move(entries);
 }
 
 void ExternalMessageLog::set_base(WireId wire, std::uint64_t next_seq,

@@ -17,7 +17,9 @@
 // (next_seq, last_vt) survives truncation. The log also tracks the global
 // append order of records (mirroring the backing store's record indices),
 // which lets the checkpoint manager translate per-wire covered sequence
-// numbers into a store record index safe to truncate below.
+// numbers into a store record index safe to truncate below. A restart
+// reads back only the records from the checkpoint's covered index on
+// (load); the covered prefix is never read.
 #pragma once
 
 #include <cstdint>
@@ -81,7 +83,7 @@ class ExternalMessageLog {
 
   /// Restores a wire's position accounting from a durable checkpoint:
   /// messages with seq < next_seq are covered (loads skip them) and the
-  /// wire's silence floor is `last_vt`. Call before load_records.
+  /// wire's silence floor is `last_vt`. Call before load.
   void set_base(WireId wire, std::uint64_t next_seq, VirtualTime last_vt);
 
   /// Largest global record index N such that every record with index < N
@@ -103,15 +105,16 @@ class ExternalMessageLog {
   /// into `store` before the call returns (stable-storage durability).
   void attach_store(SegmentedStore* store);
 
-  /// Reloads from pre-scanned store records whose first record has global
-  /// index `first_index` (SegmentedStore::scan_all after compaction) — the
-  /// only reload path. Records below a wire's base (covered by the
-  /// restored checkpoint but not yet reclaimed from disk) are index-tracked
-  /// but not retained. Call on an empty log before attaching a store.
-  /// Throws serde::DecodeError, leaving the log unchanged, when any record
-  /// does not decode as one Message.
-  void load_records(const std::vector<std::vector<std::byte>>& records,
-                    std::uint64_t first_index);
+  /// The restart load: decodes the records of `store` from global index
+  /// max(`covered_index`, store.first_retained_index()) on — the restored
+  /// checkpoint's covered_record_index, 0 without one — straight into the
+  /// log, so each suffix record is read, checksummed and decoded once.
+  /// Records past that index but below their wire's base (set_base) are
+  /// index-tracked but not retained. Call on an empty log before attaching
+  /// a store. All or nothing: throws serde::DecodeError when a record does
+  /// not decode as one Message, or CorruptSegmentError when the store lost
+  /// records, and leaves the log unchanged.
+  void load(const SegmentedStore& store, std::uint64_t covered_index);
 
  private:
   void append_locked(const Message& message);

@@ -14,9 +14,6 @@ namespace tart::log {
 
 namespace {
 
-/// On-disk frame overhead per record (magic + size + fingerprint).
-constexpr std::uint64_t kFrameHeaderBytes = 16;
-
 std::uint64_t framed_size(std::span<const std::vector<std::byte>> records) {
   std::uint64_t n = 0;
   for (const auto& r : records) n += kFrameHeaderBytes + r.size();
@@ -71,33 +68,36 @@ SegmentedStore::SegmentedStore(std::string dir, std::string base,
   std::sort(firsts.begin(), firsts.end());
 
   const std::lock_guard<std::mutex> lk(mu_);
-  for (const std::uint64_t first : firsts) {
-    Segment seg;
-    seg.first_index = first;
-    seg.path = segment_path(first);
-    std::uint64_t intact = 0;
-    seg.records = FileStableStore::scan(seg.path, &intact).size();
-    seg.bytes = intact;
-    sealed_.push_back(seg);
-  }
-
-  if (sealed_.empty()) {
+  if (firsts.empty()) {
     open_active_locked(0);
     return;
   }
+  // Sealed segments are known from their names and sizes alone.
+  for (std::size_t i = 0; i + 1 < firsts.size(); ++i) {
+    Segment seg;
+    seg.first_index = firsts[i];
+    seg.records = firsts[i + 1] - firsts[i];
+    seg.path = segment_path(firsts[i]);
+    struct stat st{};
+    if (::stat(seg.path.c_str(), &st) == 0)
+      seg.bytes = static_cast<std::uint64_t>(st.st_size);
+    sealed_.push_back(seg);
+  }
   // The highest segment is the writable one. A torn tail (crash mid-write)
-  // is cut off so frames appended by this incarnation remain reachable by
-  // scan (which stops at the first bad frame).
-  active_meta_ = sealed_.back();
-  sealed_.pop_back();
-  struct stat st{};
-  if (::stat(active_meta_.path.c_str(), &st) == 0 &&
-      static_cast<std::uint64_t>(st.st_size) != active_meta_.bytes) {
+  // is cut off so frames appended by this incarnation stay reachable by
+  // readers (which stop at the first bad frame).
+  active_meta_.first_index = firsts.back();
+  active_meta_.path = segment_path(firsts.back());
+  const std::vector<std::byte> content = read_file_prefix(active_meta_.path);
+  const FrameWalk intact = walk_frames(content, 0, UINT64_MAX, nullptr);
+  active_meta_.records = intact.frames;
+  active_meta_.bytes = intact.bytes;
+  if (content.size() != intact.bytes) {
     TART_ERROR << "segmented store: truncating torn tail of "
-               << active_meta_.path << " (" << st.st_size << " -> "
-               << active_meta_.bytes << " bytes)";
-    if (::truncate(active_meta_.path.c_str(), static_cast<off_t>(
-                       active_meta_.bytes)) != 0) {
+               << active_meta_.path << " (" << content.size() << " -> "
+               << intact.bytes << " bytes)";
+    if (::truncate(active_meta_.path.c_str(),
+                   static_cast<off_t>(intact.bytes)) != 0) {
       TART_ERROR << "segmented store: truncate failed: " << errno;
     }
   }
@@ -155,21 +155,27 @@ std::uint64_t SegmentedStore::flushes() const {
   return flushes_;
 }
 
-std::vector<std::vector<std::byte>> SegmentedStore::scan_all() const {
-  std::vector<std::string> paths;
+void SegmentedStore::read_from(std::uint64_t from,
+                               const RecordVisitor& visit) const {
+  std::vector<Segment> segments;
   {
     const std::lock_guard<std::mutex> lk(mu_);
-    paths.reserve(sealed_.size() + 1);
-    for (const Segment& seg : sealed_) paths.push_back(seg.path);
-    paths.push_back(active_meta_.path);
+    segments = sealed_;
+    segments.push_back(active_meta_);
   }
-  std::vector<std::vector<std::byte>> out;
-  for (const std::string& path : paths) {
-    auto records = FileStableStore::scan(path);
-    out.insert(out.end(), std::make_move_iterator(records.begin()),
-               std::make_move_iterator(records.end()));
+  for (const Segment& seg : segments) {
+    if (seg.first_index + seg.records <= from) continue;  // wholly covered
+    const std::uint64_t skip =
+        from > seg.first_index ? from - seg.first_index : 0;
+    // The active segment may grow meanwhile: read only what was counted.
+    const std::vector<std::byte> content =
+        read_file_prefix(seg.path, seg.bytes);
+    const FrameWalk walk = walk_frames(content, skip, seg.records, visit);
+    if (walk.frames < seg.records)
+      throw CorruptSegmentError(
+          "segment " + seg.path + " holds " + std::to_string(walk.frames) +
+          " intact records of " + std::to_string(seg.records));
   }
-  return out;
 }
 
 std::uint64_t SegmentedStore::truncate_below(std::uint64_t index) {

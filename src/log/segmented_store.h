@@ -10,8 +10,14 @@
 // record in it lies below the newest durable checkpoint's covered offset —
 // the gating invariant documented in docs/RECOVERY.md. Records carry
 // global indices (append order across all segments); a segment file is
-// named `<base>.<first_index>.seg` so a scan can reconstruct the index of
-// every surviving record after any number of deletions.
+// named `<base>.<first_index>.seg` so the index of every surviving record
+// follows from the names alone after any number of deletions.
+//
+// Opening reads only the active (highest) segment, to cut a torn tail
+// before any append: a sealed segment's record count is the gap to the
+// next segment's first index and its size comes from stat. A restart then
+// reads only the log suffix past its checkpoint with read_from, one bulk
+// read per segment it needs, each delivered record checksummed once.
 //
 // A legacy single-file `<base>.log` (the unsegmented messages.log that
 // older builds wrote without durable checkpoints) is adopted on open by
@@ -26,12 +32,20 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "log/stable_store.h"
 
 namespace tart::log {
+
+/// A segment holds fewer intact records than its file-name range says: the
+/// log lost records, and every later index would shift if a reader went on.
+class CorruptSegmentError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 class SegmentedStore {
  public:
@@ -52,9 +66,16 @@ class SegmentedStore {
   [[nodiscard]] std::uint64_t records_written() const;
   [[nodiscard]] std::uint64_t flushes() const;
 
-  /// Every intact record across all surviving segments, in global append
-  /// order. The first returned record has index first_retained_index().
-  [[nodiscard]] std::vector<std::vector<std::byte>> scan_all() const;
+  /// Calls `visit` once per record with global index >= `from`, in index
+  /// order. Sealed segments wholly below `from` are not opened; each other
+  /// segment is read with one bulk read. In the segment that straddles
+  /// `from`, the frames below it are skipped by their headers (marker and
+  /// bounds checked, checksum not); every delivered record's checksum is
+  /// verified. Throws CorruptSegmentError when a segment yields fewer
+  /// intact records than its index range (as it would for a segment that a
+  /// concurrent truncate_below deletes: read before compaction runs);
+  /// exceptions from `visit` pass through.
+  void read_from(std::uint64_t from, const RecordVisitor& visit) const;
 
   /// Deletes every sealed segment whose records all have index < `index`
   /// (the active segment is never deleted). Returns records reclaimed.

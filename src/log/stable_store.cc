@@ -1,10 +1,11 @@
 #include "log/stable_store.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <fstream>
 
 #include "serde/archive.h"
 
@@ -63,37 +64,55 @@ bool FileStableStore::append_batch(
 }
 
 std::vector<std::vector<std::byte>> FileStableStore::scan(
-    const std::string& path, std::uint64_t* intact_bytes) {
+    const std::string& path) {
   std::vector<std::vector<std::byte>> records;
-  std::uint64_t intact = 0;
-  std::ifstream in(path, std::ios::binary);
-  if (intact_bytes != nullptr) *intact_bytes = 0;
-  if (!in.is_open()) return records;
-  in.seekg(0, std::ios::end);
-  const auto file_bytes = static_cast<std::uint64_t>(in.tellg());
-  in.seekg(0);
+  walk_frames(read_file_prefix(path), 0, UINT64_MAX,
+              [&records](std::span<const std::byte> record) {
+                records.emplace_back(record.begin(), record.end());
+              });
+  return records;
+}
 
-  for (;;) {
-    std::byte header[16];
-    in.read(reinterpret_cast<char*>(header), sizeof(header));
-    if (in.gcount() != sizeof(header)) break;  // clean EOF or torn header
-    serde::Reader r(header, sizeof(header));
+FrameWalk walk_frames(std::span<const std::byte> bytes, std::uint64_t skip,
+                      std::uint64_t limit, const RecordVisitor& visit) {
+  FrameWalk walk;
+  while (walk.frames < limit &&
+         bytes.size() - walk.bytes >= kFrameHeaderBytes) {
+    serde::Reader r(bytes.data() + walk.bytes, kFrameHeaderBytes);
     if (r.read_u32() != kMagic) break;  // corrupted frame marker
     const std::uint32_t size = r.read_u32();
     const std::uint64_t checksum = r.read_u64();
-    // A size running past the end of the file is a torn (or corrupt)
-    // frame: stop before allocating for it.
-    if (size > file_bytes - intact - sizeof(header)) break;
-
-    std::vector<std::byte> record(size);
-    in.read(reinterpret_cast<char*>(record.data()), size);
-    if (in.gcount() != static_cast<std::streamsize>(size)) break;  // torn
-    if (serde::fingerprint(record) != checksum) break;  // corrupted
-    records.push_back(std::move(record));
-    intact += sizeof(header) + size;
+    // A size running past the end of the bytes is a torn (or corrupt) frame.
+    if (size > bytes.size() - walk.bytes - kFrameHeaderBytes) break;
+    const auto record = bytes.subspan(walk.bytes + kFrameHeaderBytes, size);
+    if (walk.frames >= skip) {
+      if (serde::fingerprint(record) != checksum) break;  // corrupted
+      if (visit) visit(record);
+    }
+    ++walk.frames;
+    walk.bytes += kFrameHeaderBytes + size;
   }
-  if (intact_bytes != nullptr) *intact_bytes = intact;
-  return records;
+  return walk;
+}
+
+std::vector<std::byte> read_file_prefix(const std::string& path,
+                                        std::uint64_t max_bytes) {
+  std::vector<std::byte> bytes;
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return bytes;
+  struct stat st{};
+  if (::fstat(fd, &st) == 0)
+    bytes.resize(std::min(static_cast<std::uint64_t>(st.st_size), max_bytes));
+  std::size_t got = 0;
+  while (got < bytes.size()) {
+    const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;  // the file shrank under us: keep what was read
+    got += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  bytes.resize(got);
+  return bytes;
 }
 
 }  // namespace tart::log

@@ -21,7 +21,9 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -60,12 +62,9 @@ class FileStableStore {
   }
 
   /// Reads every intact record from a store file, stopping at the first
-  /// torn or corrupted frame. Missing file yields an empty list. When
-  /// `intact_bytes` is non-null it receives the byte length of the intact
-  /// prefix, so a writer reopening the file can truncate a torn tail
-  /// before appending past it.
+  /// torn or corrupted frame. Missing file yields an empty list.
   [[nodiscard]] static std::vector<std::vector<std::byte>> scan(
-      const std::string& path, std::uint64_t* intact_bytes = nullptr);
+      const std::string& path);
 
  private:
   std::string path_;
@@ -73,5 +72,31 @@ class FileStableStore {
   std::atomic<std::uint64_t> written_{0};
   std::atomic<std::uint64_t> flushes_{0};
 };
+
+/// On-disk frame overhead per record (magic + size + fingerprint).
+inline constexpr std::size_t kFrameHeaderBytes = 16;
+
+/// Called once per delivered record with a span into the caller's buffer,
+/// valid only for the duration of the call.
+using RecordVisitor = std::function<void(std::span<const std::byte>)>;
+
+/// How far walk_frames got: frames passed and the bytes they span.
+struct FrameWalk {
+  std::uint64_t frames = 0;
+  std::uint64_t bytes = 0;
+};
+
+/// Walks the frames at the front of `bytes` (a store file's content). The
+/// first `skip` frames are checked only for the frame marker and for lying
+/// inside `bytes`; every later frame must also match its checksum and is
+/// passed to `visit` (when set). Stops at the first frame that fails, or
+/// after `limit` frames in all.
+FrameWalk walk_frames(std::span<const std::byte> bytes, std::uint64_t skip,
+                      std::uint64_t limit, const RecordVisitor& visit);
+
+/// The first `max_bytes` of a file (all of it by default), read with one
+/// buffer allocation. A missing file reads as empty.
+[[nodiscard]] std::vector<std::byte> read_file_prefix(
+    const std::string& path, std::uint64_t max_bytes = UINT64_MAX);
 
 }  // namespace tart::log

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -281,6 +282,6 @@ void decode_value(Reader& r, std::map<K, V>& m) {
 }
 
 /// FNV-1a content hash, for cheap bit-identity assertions on checkpoints.
-[[nodiscard]] std::uint64_t fingerprint(const std::vector<std::byte>& bytes);
+[[nodiscard]] std::uint64_t fingerprint(std::span<const std::byte> bytes);
 
 }  // namespace tart::serde

@@ -52,6 +52,33 @@ std::vector<std::byte> bytes(std::initializer_list<int> values) {
   return out;
 }
 
+using tart::testing::Bytes;
+
+Bytes read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::string raw((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  const auto* p = reinterpret_cast<const std::byte*>(raw.data());
+  return Bytes(p, p + raw.size());
+}
+
+void write_file(const std::string& path, const Bytes& content) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(content.data()),
+            static_cast<std::streamsize>(content.size()));
+}
+
+/// Every record of `store` from global index `from` on, copied out of the
+/// reader's buffer.
+std::vector<std::vector<std::byte>> records_from(
+    const log::SegmentedStore& store, std::uint64_t from = 0) {
+  std::vector<std::vector<std::byte>> out;
+  store.read_from(from, [&out](std::span<const std::byte> record) {
+    out.emplace_back(record.begin(), record.end());
+  });
+  return out;
+}
+
 Message external(WireId wire, std::int64_t vt, std::uint64_t seq) {
   Message m;
   m.wire = wire;
@@ -77,7 +104,7 @@ TEST_F(SegmentedStoreTest, RotatesAndScansAcrossSegments) {
   EXPECT_GT(store.segment_count(), 1u);
   EXPECT_EQ(store.next_index(), 10u);
   EXPECT_EQ(store.first_retained_index(), 0u);
-  EXPECT_EQ(store.scan_all(), written);
+  EXPECT_EQ(records_from(store), written);
   EXPECT_GT(store.bytes_on_disk(), 0u);
 }
 
@@ -91,7 +118,7 @@ TEST_F(SegmentedStoreTest, TruncateBelowDeletesOnlyWhollySealedSegments) {
   // The gating invariant: nothing at or above index 5 may be deleted.
   EXPECT_LE(store.first_retained_index(), 5u);
   EXPECT_EQ(store.first_retained_index(), reclaimed);
-  EXPECT_EQ(store.scan_all().size(), 10u - reclaimed);
+  EXPECT_EQ(records_from(store).size(), 10u - reclaimed);
   EXPECT_EQ(store.records_reclaimed(), reclaimed);
   EXPECT_GT(store.segments_deleted(), 0u);
 
@@ -99,14 +126,14 @@ TEST_F(SegmentedStoreTest, TruncateBelowDeletesOnlyWhollySealedSegments) {
   log::SegmentedStore reopened(dir_.string(), "messages", opts);
   EXPECT_EQ(reopened.first_retained_index(), reclaimed);
   EXPECT_EQ(reopened.next_index(), 10u);
-  EXPECT_EQ(reopened.scan_all().size(), 10u - reclaimed);
+  EXPECT_EQ(records_from(reopened).size(), 10u - reclaimed);
 }
 
 TEST_F(SegmentedStoreTest, TruncateNeverDeletesActiveSegment) {
   log::SegmentedStore store(dir_.string(), "messages");  // huge default
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(store.append(bytes({i})));
   EXPECT_EQ(store.truncate_below(store.next_index()), 0u);
-  EXPECT_EQ(store.scan_all().size(), 5u);
+  EXPECT_EQ(records_from(store).size(), 5u);
   EXPECT_EQ(store.segment_count(), 1u);
 }
 
@@ -126,11 +153,11 @@ TEST_F(SegmentedStoreTest, TornActiveTailCutOnReopen) {
                                std::filesystem::file_size(active) - 2);
 
   log::SegmentedStore store(dir_.string(), "messages", opts);
-  EXPECT_EQ(store.scan_all().size(), 2u);
+  EXPECT_EQ(records_from(store).size(), 2u);
   EXPECT_EQ(store.next_index(), 2u);
   // Appends after the cut stay scannable (the torn tail was truncated).
   ASSERT_TRUE(store.append(bytes({9})));
-  EXPECT_EQ(store.scan_all().size(), 3u);
+  EXPECT_EQ(records_from(store).size(), 3u);
 }
 
 TEST_F(SegmentedStoreTest, AdoptsLegacySingleFileLog) {
@@ -141,7 +168,7 @@ TEST_F(SegmentedStoreTest, AdoptsLegacySingleFileLog) {
     ASSERT_TRUE(old_store.append(bytes({3})));
   }
   log::SegmentedStore store(dir_.string(), "messages");
-  EXPECT_EQ(store.scan_all().size(), 2u);
+  EXPECT_EQ(records_from(store).size(), 2u);
   EXPECT_EQ(store.next_index(), 2u);
   EXPECT_FALSE(std::filesystem::exists(legacy));  // renamed to segment 0
 }
@@ -360,6 +387,10 @@ struct DurableApp {
   [[nodiscard]] std::map<ComponentId, EngineId> placement() const {
     return {{s1, EngineId(0)}, {s2, EngineId(0)}, {merger, EngineId(0)}};
   }
+  /// Senders on one engine, the merger on another.
+  [[nodiscard]] std::map<ComponentId, EngineId> split_placement() const {
+    return {{s1, EngineId(0)}, {s2, EngineId(0)}, {merger, EngineId(1)}};
+  }
 };
 
 core::RuntimeConfig durable_config(const std::string& log_dir) {
@@ -476,6 +507,183 @@ TEST_F(TieredRestartTest, SuffixReplayIsIndependentOfCoveredPrefixLength) {
   EXPECT_LE(longer.log_bytes, 2 * shorter.log_bytes)
       << "compaction left " << longer.log_bytes << " bytes for an 8x prefix vs "
       << shorter.log_bytes;
+}
+
+/// The log's segment files in `dir` with their first global index,
+/// ascending.
+std::vector<std::pair<std::uint64_t, std::string>> segments_in(
+    const std::string& dir) {
+  std::vector<std::pair<std::uint64_t, std::string>> segments;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (entry.path().extension() != ".seg") continue;
+    const std::string digits = name.substr(name.find('.') + 1, 20);
+    segments.emplace_back(std::stoull(digits), entry.path().string());
+  }
+  std::sort(segments.begin(), segments.end());
+  return segments;
+}
+
+/// Checkpoints after `prefix_pairs` settled pairs, adds `suffix_pairs`
+/// more, drains and stops; returns the merger's fingerprint and the
+/// checkpoint's covered record index.
+std::pair<std::uint64_t, std::uint64_t> run_with_checkpoint(
+    const std::string& log_dir, int prefix_pairs, int suffix_pairs) {
+  DurableApp app;
+  core::Runtime rt(app.topo, app.placement(), durable_config(log_dir));
+  rt.start();
+  for (int i = 0; i < prefix_pairs; ++i) inject_pair(rt, app, i);
+  settle(rt);
+  const auto stats = rt.checkpoint_manager()->checkpoint_now();
+  EXPECT_TRUE(stats.ok) << stats.error;
+  for (int i = 0; i < suffix_pairs; ++i)
+    inject_pair(rt, app, prefix_pairs + i);
+  EXPECT_TRUE(rt.drain());
+  const std::uint64_t fingerprint = rt.state_fingerprint(app.merger);
+  rt.stop();
+  return {fingerprint, stats.covered_records};
+}
+
+// A restart reads only the suffix: the covered records of the segment that
+// straddles the checkpoint's covered index are skipped by their headers,
+// so damage to their payloads cannot reach the restart.
+TEST_F(TieredRestartTest, RestartNeverReadsCoveredPayloads) {
+  constexpr int kPrefixPairs = 8, kSuffixPairs = 12;
+  const std::string log_dir = dir_.string();
+  const auto [fingerprint, covered] =
+      run_with_checkpoint(log_dir, kPrefixPairs, kSuffixPairs);
+  ASSERT_EQ(covered, 2u * kPrefixPairs);
+
+  const auto segments = segments_in(log_dir);
+  std::size_t straddling = segments.size();
+  for (std::size_t i = 0; i + 1 < segments.size(); ++i)
+    if (segments[i].first < covered && covered < segments[i + 1].first)
+      straddling = i;
+  std::string names;
+  for (const auto& segment : segments)
+    names += " " + std::to_string(segment.first);
+  ASSERT_LT(straddling, segments.size())
+      << "no sealed segment straddles covered index " << covered << names;
+  const std::string path = segments[straddling].second;
+  Bytes file = read_file(path);
+  std::size_t off = 0;
+  constexpr std::size_t kHeader = log::kFrameHeaderBytes;
+  for (std::uint64_t i = segments[straddling].first; i < covered; ++i) {
+    ASSERT_LE(off + kHeader, file.size());
+    serde::Reader header(file.data() + off + 4, 4);  // past the marker
+    const std::uint32_t size = header.read_u32();
+    std::fill_n(file.begin() + static_cast<std::ptrdiff_t>(off + kHeader),
+                size, std::byte{0xEE});
+    off += kHeader + size;
+  }
+  write_file(path, file);
+
+  DurableApp app;
+  core::Runtime rt(app.topo, app.placement(), durable_config(log_dir));
+  EXPECT_EQ(rt.recovery_info().covered_records, 2u * kPrefixPairs);
+  EXPECT_EQ(rt.recovery_info().suffix_records, 2u * kSuffixPairs);
+  rt.start();
+  EXPECT_TRUE(durability::ReplayDriver::catch_up(rt).caught_up);
+  ASSERT_TRUE(rt.drain());
+  EXPECT_EQ(rt.state_fingerprint(app.merger), fingerprint);
+  rt.stop();
+}
+
+// A sealed suffix segment that lost records fails the restart typed rather
+// than shifting the index of every later record.
+TEST_F(TieredRestartTest, SealedSuffixSegmentCutShortFailsRestartTyped) {
+  const std::string log_dir = dir_.string();
+  const std::uint64_t covered = run_with_checkpoint(log_dir, 4, 12).second;
+  const auto segments = segments_in(log_dir);
+  std::string victim;
+  for (std::size_t i = 0; i + 1 < segments.size(); ++i)
+    if (segments[i].first >= covered) victim = segments[i].second;
+  ASSERT_FALSE(victim.empty()) << "no sealed segment above " << covered;
+  std::filesystem::resize_file(victim, std::filesystem::file_size(victim) - 2);
+
+  DurableApp app;
+  EXPECT_THROW(
+      core::Runtime(app.topo, app.placement(), durable_config(log_dir)),
+      log::CorruptSegmentError);
+}
+
+// Every restart replay is requested and served before any runner thread
+// runs, so a restart re-sends nothing the receiver already has.
+TEST_F(TieredRestartTest, RestartAcrossEnginesDiscardsNoDuplicates) {
+  const std::string log_dir = dir_.string();
+  std::uint64_t fingerprint = 0;
+  {
+    DurableApp app;
+    core::Runtime rt(app.topo, app.split_placement(),
+                     durable_config(log_dir));
+    rt.start();
+    for (int i = 0; i < 20; ++i) inject_pair(rt, app, i);
+    settle(rt);
+    ASSERT_TRUE(rt.checkpoint_manager()->checkpoint_now().ok);
+    for (int i = 20; i < 220; ++i) inject_pair(rt, app, i);
+    ASSERT_TRUE(rt.drain());
+    fingerprint = rt.state_fingerprint(app.merger);
+    rt.stop();
+  }
+  DurableApp app;
+  core::Runtime rt(app.topo, app.split_placement(), durable_config(log_dir));
+  EXPECT_EQ(rt.recovery_info().suffix_records, 400u);
+  rt.start();
+  EXPECT_TRUE(durability::ReplayDriver::catch_up(rt).caught_up);
+  ASSERT_TRUE(rt.drain());
+  EXPECT_EQ(rt.state_fingerprint(app.merger), fingerprint);
+  EXPECT_EQ(rt.total_metrics().duplicates_discarded, 0u);
+  rt.stop();
+}
+
+// A settled durable checkpoint carries no retention a restart could never
+// ask for: nothing on the external output, and nothing on a data wire below
+// its (local) receiver's checkpointed position.
+TEST_F(TieredRestartTest, SettledCheckpointFileHoldsNoDeadRetention) {
+  const std::string log_dir = dir_.string();
+  DurableApp app;
+  // Without soft checkpoints no stability ack trims the senders' retention
+  // before the durable checkpoint.
+  core::RuntimeConfig config = durable_config(log_dir);
+  config.checkpoint.every_n_messages = 0;
+  core::Runtime rt(app.topo, app.placement(), config);
+  rt.start();
+  for (int i = 0; i < 10; ++i) inject_pair(rt, app, i);
+  settle(rt);
+  ASSERT_TRUE(rt.checkpoint_manager()->checkpoint_now().ok);
+  rt.stop();
+
+  const auto newest = durability::CheckpointReader::load_newest(log_dir);
+  ASSERT_TRUE(newest.has_value());
+  const auto& plans = newest->checkpoint.plans;
+  ASSERT_TRUE(plans.contains(app.merger));
+  const auto& merger_plan = plans.at(app.merger);
+  const auto& merger =
+      merger_plan.deltas.empty() ? merger_plan.base : merger_plan.deltas.back();
+  std::map<WireId, std::uint64_t> receiver_next;
+  for (const auto& in : merger.inputs) receiver_next[in.wire] = in.next_seq;
+  std::size_t data_wires = 0;
+  for (const auto& [component, plan] : plans) {
+    std::vector<const checkpoint::ComponentSnapshot*> snapshots{&plan.base};
+    for (const auto& delta : plan.deltas) snapshots.push_back(&delta);
+    for (const auto* snapshot : snapshots) {
+      for (const auto& out : snapshot->outputs) {
+        if (out.wire == app.out) {
+          EXPECT_TRUE(out.retained.empty())
+              << out.retained.size() << " external outputs retained";
+          continue;
+        }
+        ASSERT_TRUE(receiver_next.contains(out.wire));
+        EXPECT_GT(receiver_next.at(out.wire), 0u);
+        ++data_wires;
+        for (const Message& m : out.retained)
+          EXPECT_GE(m.seq, receiver_next.at(out.wire))
+              << "wire " << out.wire.value() << " retains covered seq "
+              << m.seq;
+      }
+    }
+  }
+  EXPECT_GE(data_wires, 2u);
 }
 
 TEST_F(TieredRestartTest, TornNewestCheckpointFallsBackAndStillMatches) {
@@ -789,23 +997,8 @@ TEST_F(ColdRestartTest, UpgradesUnsegmentedLogDirectory) {
 // refused checkpoint (nullopt), a shorter intact segment prefix, or
 // serde::DecodeError — never crash or allocate without bound.
 
-using tart::testing::Bytes;
 using tart::testing::kMutationRounds;
 using tart::testing::mutate;
-
-Bytes read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  const std::string raw((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-  const auto* p = reinterpret_cast<const std::byte*>(raw.data());
-  return Bytes(p, p + raw.size());
-}
-
-void write_file(const std::string& path, const Bytes& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(content.data()),
-            static_cast<std::streamsize>(content.size()));
-}
 
 template <typename T>
 Bytes encode(const T& value) {
@@ -894,7 +1087,7 @@ class DiskFuzzTest : public DurabilityTest {
       std::size_t kept = 0;
       {
         log::SegmentedStore store(dir, "messages");
-        const auto got = store.scan_all();
+        const auto got = records_from(store);
         ASSERT_GE(got.size(), sealed) << what;
         ASSERT_LE(got.size(), original.size()) << what;
         for (std::size_t r = 0; r < got.size(); ++r)
@@ -902,10 +1095,21 @@ class DiskFuzzTest : public DurabilityTest {
         kept = got.size();
         ASSERT_TRUE(store.append(extra)) << what;
       }
-      const auto got = log::SegmentedStore(dir, "messages").scan_all();
+      const auto got = records_from(log::SegmentedStore(dir, "messages"));
       ASSERT_EQ(got.size(), kept + 1) << what;
       EXPECT_EQ(got.back(), extra) << what;
     }
+  }
+
+  /// Loads `records` into `log` the way a restart does: through a fresh
+  /// segmented store that holds exactly these records.
+  void load_through_store(log::ExternalMessageLog& log,
+                          const std::vector<Bytes>& records) {
+    const std::string dir = (dir_ / "log").string();
+    std::filesystem::remove_all(dir);
+    log::SegmentedStore store(dir, "messages");
+    ASSERT_TRUE(store.append_batch(records));
+    log.load(store, 0);
   }
 
   LogLevel saved_level_ = LogLevel::kWarn;
@@ -974,7 +1178,7 @@ TEST_F(DiskFuzzTest, LogRecordTruncationsFailTypedAndLeaveLogEmpty) {
   const std::vector<Bytes> records = sample_records();
   {
     log::ExternalMessageLog log;
-    log.load_records(records, 0);
+    load_through_store(log, records);
     EXPECT_EQ(log.total_size(), records.size());
   }
   for (std::size_t i = 0; i < records.size(); ++i) {
@@ -982,7 +1186,7 @@ TEST_F(DiskFuzzTest, LogRecordTruncationsFailTypedAndLeaveLogEmpty) {
       std::vector<Bytes> damaged = records;
       damaged[i].resize(cut);
       log::ExternalMessageLog log;
-      EXPECT_THROW(log.load_records(damaged, 0), serde::DecodeError)
+      EXPECT_THROW(load_through_store(log, damaged), serde::DecodeError)
           << "record " << i << " cut " << cut;
       EXPECT_EQ(log.total_size(), 0u);
       EXPECT_EQ(log.next_seq(WireId(0)), 0u);
@@ -1000,7 +1204,7 @@ TEST_F(DiskFuzzTest, LogRecordMutationsLoadOrFailTyped) {
     damaged[i] = mutate(damaged[i], rng);
     log::ExternalMessageLog log;
     try {
-      log.load_records(damaged, 0);
+      load_through_store(log, damaged);
       EXPECT_EQ(log.total_size(), records.size());
       ++loaded;
     } catch (const serde::DecodeError&) {

@@ -324,9 +324,11 @@ TEST(TryInjectTest, BatchStampsMonotonelyAndLogsEverything) {
   core::Runtime rt(app.built.topology, app.placement, core::RuntimeConfig{});
   rt.start();
 
-  std::vector<core::InjectRequest> requests;
-  for (int i = 0; i < 8; ++i)
-    requests.push_back({app.in(), -1, Payload(std::int64_t{i})});
+  std::vector<core::InjectRequest> requests(8);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    requests[i].wire = app.in();
+    requests[i].payload = Payload(static_cast<std::int64_t>(i));
+  }
   const auto results = rt.try_inject_batch(requests);
   ASSERT_EQ(results.size(), 8u);
   VirtualTime prev(-1);

@@ -247,7 +247,9 @@ TEST(PeerBodyFuzzTest, ControlBodiesDecodeOrFailTyped) {
 }
 
 TEST(NetFrameTest, HelloBodyRoundTripsAndRejectsTrailing) {
-  const HelloBody hello{"left", 0xDEADBEEFCAFEF00Dull};
+  HelloBody hello;
+  hello.node = "left";
+  hello.deployment_fp = 0xDEADBEEFCAFEF00Dull;
   auto bytes = hello.encode();
   const HelloBody back = HelloBody::decode(bytes);
   EXPECT_EQ(back.node, "left");

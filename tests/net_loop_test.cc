@@ -298,8 +298,9 @@ TEST(ConnectionManagerTest, HeartbeatMissAgainstSilentPeer) {
     }
     if (!conn.valid()) return;
     // Send a valid HELLO, then nothing — not even heartbeats.
-    const auto hello =
-        encode_message(NetMsgType::kHello, HelloBody{"b", 0}.encode());
+    HelloBody body;
+    body.node = "b";
+    const auto hello = encode_message(NetMsgType::kHello, body.encode());
     (void)::write(conn.get(), hello.data(), hello.size());
     while (!stop.load()) {
       std::byte buf[4096];

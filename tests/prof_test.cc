@@ -169,8 +169,9 @@ TEST_F(ProfTest, HarvestIntoRegistrySetsProfCells) {
   for (const auto& sample : reg.samples()) {
     if (sample.name == "tart_prof_span_seconds" && sample.hist &&
         !sample.labels.empty() &&
-        sample.labels.front().value == "prof_test.harvest")
+        sample.labels.front().value == "prof_test.harvest") {
       EXPECT_EQ(sample.hist->count(), 2u);
+    }
   }
 }
 

@@ -167,7 +167,7 @@ TEST_F(StableStoreTest, CorruptedChecksumStopsScan) {
 /// Rebuilds `log` from the segmented store in `dir` — the restart path.
 void recover_log(const std::string& dir, ExternalMessageLog& log) {
   const SegmentedStore store(dir, "messages");
-  log.load_records(store.scan_all(), store.first_retained_index());
+  log.load(store, 0);
 }
 
 TEST_F(StableStoreTest, MessageLogWriteThroughAndRecover) {

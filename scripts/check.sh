@@ -18,10 +18,11 @@ cmake -B build -S . >/dev/null
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
-# Flake gate: the process and trace-determinism tests (forked nodes,
-# SIGKILL, timing-sensitive replay) must pass ten times in a row.
-echo "== flake gate: process + trace-determinism tests x10 =="
-ctest --test-dir build -R 'ProcessTest|TraceDeterminism' \
+# Flake gate: the process, trace-determinism and runner hand-off tests
+# (forked nodes, SIGKILL, timing-sensitive replay, handlers held mid-run)
+# must pass ten times in a row.
+echo "== flake gate: process + trace-determinism + hand-off tests x10 =="
+ctest --test-dir build -R 'ProcessTest|TraceDeterminism|HandoffTest' \
   --repeat until-fail:10 -j"$(nproc)"
 
 # Perf gate: build perfbench and run every workload (chain-hop,

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/thread_name.h"
+
 namespace tart::core {
 
 Engine::Engine(EngineId id, const Topology& topology,
@@ -96,7 +98,10 @@ void Engine::start() {
   started_ = true;
   if (config_.silence.aggressive_interval.count() > 0 &&
       !aggressive_thread_.joinable()) {
-    aggressive_thread_ = std::thread([this] { aggressive_loop(); });
+    aggressive_thread_ = std::thread([this] {
+      set_thread_name("silence-push");
+      aggressive_loop();
+    });
   }
 }
 
@@ -163,21 +168,26 @@ void Engine::recover() {
   for (const auto& r : pin_all()) r->start();
 }
 
-void Engine::deliver_to_receiver(WireId wire, const transport::Frame& frame) {
+void Engine::deliver_to_receiver(WireId wire, transport::Frame&& frame) {
+  if (auto* data = std::get_if<transport::DataFrame>(&frame)) {
+    deliver_batch_to_receiver(wire, std::span<Message>(&data->msg, 1));
+    return;
+  }
+  const auto* silence = std::get_if<transport::SilenceFrame>(&frame);
+  if (silence == nullptr) return;
+  const auto r = pin(topology_.wire(wire).to);
+  if (r == nullptr) return;  // crashed: the machine is gone, frames lost
+  r->deliver_silence(silence->wire, silence->through, silence->expected_seq);
+}
+
+void Engine::deliver_batch_to_receiver(WireId wire, std::span<Message> batch) {
   const auto& spec = topology_.wire(wire);
   const auto r = pin(spec.to);
   if (r == nullptr) return;  // crashed: the machine is gone, frames lost
-
-  if (const auto* data = std::get_if<transport::DataFrame>(&frame)) {
-    if (spec.kind == WireKind::kReply) {
-      r->deliver_reply(data->msg);
-    } else {
-      r->deliver_data(data->msg);
-    }
-  } else if (const auto* silence =
-                 std::get_if<transport::SilenceFrame>(&frame)) {
-    r->deliver_silence(silence->wire, silence->through,
-                       silence->expected_seq);
+  if (spec.kind == WireKind::kReply) {
+    for (Message& m : batch) r->deliver_reply(std::move(m));
+  } else {
+    r->deliver_data(wire, batch);
   }
 }
 

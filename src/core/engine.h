@@ -21,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -90,8 +91,12 @@ class Engine {
   [[nodiscard]] bool crashed() const { return crashed_.load(); }
   [[nodiscard]] EngineId id() const { return id_; }
 
-  // Frame dispatch (called by the Runtime's router).
-  void deliver_to_receiver(WireId wire, const transport::Frame& frame);
+  // Frame dispatch (called by the Runtime's router). Data is consumed:
+  // messages are moved into the receiving runner.
+  void deliver_to_receiver(WireId wire, transport::Frame&& frame);
+  /// Delivers a run of data messages on `wire` to its receiving runner,
+  /// pinned once; a data frame is delivered as a batch of one.
+  void deliver_batch_to_receiver(WireId wire, std::span<Message> batch);
   void deliver_to_sender(WireId wire, const transport::Frame& frame);
 
   [[nodiscard]] std::shared_ptr<ComponentRunner> runner(

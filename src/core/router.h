@@ -6,8 +6,11 @@
 // cross-engine hops through simulated network links.
 #pragma once
 
+#include <span>
+
 #include "common/ids.h"
 #include "transport/frame.h"
+#include "wire/message.h"
 
 namespace tart::core {
 
@@ -18,6 +21,12 @@ class FrameRouter {
   /// Delivers a frame to the receiving end of `wire` (component inbox,
   /// reply slot, or external consumer).
   virtual void to_receiver(WireId wire, transport::Frame frame) = 0;
+
+  /// Delivers a run of data messages on `wire`, in order, as one hand-off:
+  /// the route is resolved once, and a local receiving runner takes its
+  /// lock once and is woken once. Each message is moved out of `batch`
+  /// (the caller keeps the moved-from elements and their storage).
+  virtual void to_receiver_batch(WireId wire, std::span<Message> batch) = 0;
 
   /// Delivers a frame to the sending end of `wire` (component runner or
   /// external input adapter).

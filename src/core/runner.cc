@@ -6,6 +6,7 @@
 #include <set>
 
 #include "common/logging.h"
+#include "common/thread_name.h"
 #include "obs/prof.h"
 
 namespace tart::core {
@@ -63,6 +64,9 @@ class RunnerContext final : public Context {
 
   [[nodiscard]] Payload call(PortId port, Payload payload) override {
     advance_cursor();
+    // The callee may be held waiting on our horizons, which stay below any
+    // buffered emit: hand every buffered run off before blocking.
+    runner_.flush_outputs();
     ComponentRunner::OutputState* call_out = nullptr;
     for (auto& [wid, out] : runner_.outputs_) {
       if (out->spec.from_port == port &&
@@ -180,6 +184,8 @@ ComponentRunner::ComponentRunner(const Topology& topology, ComponentId id,
   for (const WireId w : topology.outputs_of(id)) {
     auto out = std::make_unique<OutputState>();
     out->spec = topology.wire(w);
+    out->batchable = out->spec.kind == WireKind::kExternalOutput ||
+                     (out->spec.kind == WireKind::kData && out->spec.to != id);
     const auto it = config.comm_delay.find(w);
     out->delay = (it != config.comm_delay.end())
                      ? it->second()
@@ -226,6 +232,15 @@ ComponentRunner::ComponentRunner(const Topology& topology, ComponentId id,
       "Edge arrival to first handler dispatch of an external input "
       "(the ingress-queueing stage of the lineage decomposition)",
       obs::Labels{{"component", name_}}, 50e-6, 256);
+  handoffs_ = &registry.counter(
+      "tart_runner_handoffs_total",
+      "Router hand-offs of emitted messages (a direct send is one, a "
+      "flushed run of buffered emits is one)",
+      obs::Labels{{"component", name_}});
+  handoff_messages_ = &registry.counter(
+      "tart_runner_handoff_messages_total",
+      "Emitted messages carried by router hand-offs",
+      obs::Labels{{"component", name_}});
 }
 
 ComponentRunner::~ComponentRunner() { stop(); }
@@ -233,7 +248,10 @@ ComponentRunner::~ComponentRunner() { stop(); }
 void ComponentRunner::start() {
   assert(!thread_.joinable());
   stop_ = false;
-  thread_ = std::thread([this] { run(); });
+  thread_ = std::thread([this] {
+    set_thread_name("rt:" + name_);
+    run();
+  });
 }
 
 void ComponentRunner::stop() {
@@ -250,21 +268,22 @@ void ComponentRunner::stop() {
 // ---------------------------------------------------------------------------
 // Frame entry points
 
-void ComponentRunner::deliver_data(const Message& m) {
-  AcceptResult result = AcceptResult::kAccepted;
+void ComponentRunner::deliver_data(WireId wire, std::span<Message> batch) {
+  std::size_t gaps = 0;
   VirtualTime gap_after;
   std::uint64_t gap_seq = 0;
-  bool dup_call = false;
   {
     const std::lock_guard<std::mutex> lk(mu_);
-    if (m.vt <= max_arrival_vt_) metrics_.out_of_order_arrivals.inc();
-    max_arrival_vt_ = max(max_arrival_vt_, m.vt);
-
-    if (config_.mode == SchedulingMode::kArrivalOrder) {
-      arrival_queue_.push_back(m);
-    } else {
-      result = inbox_.offer(m);
-      switch (result) {
+    for (Message& m : batch) {
+      if (m.vt <= max_arrival_vt_) metrics_.out_of_order_arrivals.inc();
+      max_arrival_vt_ = max(max_arrival_vt_, m.vt);
+      if (config_.mode == SchedulingMode::kArrivalOrder) {
+        arrival_queue_.push_back(std::move(m));
+        continue;
+      }
+      const MessageKind kind = m.kind;
+      const std::uint64_t call_id = m.call_id;
+      switch (inbox_.offer(std::move(m))) {
         case AcceptResult::kAccepted:
           break;
         case AcceptResult::kDuplicate:
@@ -272,24 +291,26 @@ void ComponentRunner::deliver_data(const Message& m) {
           // A re-sent call means the caller recovered and re-executed: the
           // retained reply must be re-sent (the original may have died with
           // the caller's engine).
-          if (m.kind == MessageKind::kCall) {
-            control_.push_back(DupCallCtl{m.wire, m.call_id});
-            dup_call = true;
-          }
+          if (kind == MessageKind::kCall)
+            control_.push_back(DupCallCtl{wire, call_id});
           break;
         case AcceptResult::kGap:
+          // Every later message of the run misses the same ticks: one
+          // replay request covers them all.
           metrics_.gaps_detected.inc();
-          gap_after = inbox_.wire_horizon(m.wire);
-          gap_seq = inbox_.next_seq(m.wire);
+          if (gaps++ == 0) {
+            gap_after = inbox_.wire_horizon(wire);
+            gap_seq = inbox_.next_seq(wire);
+          }
           break;
       }
     }
+    note_queued_locked();
   }
   cv_.notify_all();
-  (void)dup_call;
-  if (result == AcceptResult::kGap) {
+  if (gaps > 0) {
     router_.to_sender(
-        m.wire, transport::ReplayRequestFrame{m.wire, gap_after, gap_seq});
+        wire, transport::ReplayRequestFrame{wire, gap_after, gap_seq});
   }
 }
 
@@ -332,7 +353,7 @@ void ComponentRunner::deliver_silence(WireId wire, VirtualTime through,
   }
 }
 
-void ComponentRunner::deliver_reply(const Message& m) {
+void ComponentRunner::deliver_reply(Message&& m) {
   {
     const std::lock_guard<std::mutex> lk(reply_mu_);
     const auto it = last_reply_.find(m.wire);
@@ -340,7 +361,7 @@ void ComponentRunner::deliver_reply(const Message& m) {
         it == last_reply_.end() ? VirtualTime(-1) : it->second;
     if (m.vt > seen && m.wire == awaited_reply_wire_ &&
         m.call_id == awaited_call_id_ && !pending_reply_) {
-      pending_reply_ = m;
+      pending_reply_ = std::move(m);
     } else {
       // Duplicate of an already-consumed reply (re-sent after a callee
       // failover, or in answer to a re-executed call we no longer await).
@@ -420,11 +441,19 @@ void ComponentRunner::run() {
         if (!arrival_queue_.empty()) {
           Message m = std::move(arrival_queue_.front());
           arrival_queue_.pop_front();
+          note_queued_locked();
           in_handler_ = true;
           lk.unlock();
           process(m);
           lk.lock();
           in_handler_ = false;
+          after_dispatch(lk);
+          continue;
+        }
+        if (buffered_.load(std::memory_order_relaxed) > 0) {
+          lk.unlock();
+          flush_outputs();
+          lk.lock();
           continue;
         }
         if (inbox_.exhausted() && !final_silence_sent_) {
@@ -437,6 +466,7 @@ void ComponentRunner::run() {
       }
 
       if (auto m = inbox_.pop()) {
+        note_queued_locked();
         if (head_was_delayed) {
           const std::int64_t stall_ns = ns_between(stall_start, Clock::now());
           // The blocking wire: when the held head itself released, the last
@@ -479,6 +509,16 @@ void ComponentRunner::run() {
         process(*m);
         lk.lock();
         in_handler_ = false;
+        after_dispatch(lk);
+        continue;
+      }
+
+      // No eligible head: hand buffered emits off before any wait, idle
+      // publish or final silence (a receiver may be waiting on them).
+      if (buffered_.load(std::memory_order_relaxed) > 0) {
+        lk.unlock();
+        flush_outputs();
+        lk.lock();
         continue;
       }
 
@@ -602,6 +642,29 @@ void ComponentRunner::run() {
     if (!lk.owns_lock()) lk.lock();
     in_handler_ = false;
   }
+  // A clean stop (or eviction) loses no emit: whatever is still buffered
+  // was produced by completed dispatches and goes out now.
+  if (lk.owns_lock()) lk.unlock();
+  flush_outputs();
+}
+
+void ComponentRunner::note_queued_locked() {
+  queued_.store(config_.mode == SchedulingMode::kArrivalOrder
+                    ? arrival_queue_.size()
+                    : inbox_.pending(),
+                std::memory_order_relaxed);
+}
+
+void ComponentRunner::after_dispatch(std::unique_lock<std::mutex>& lk) {
+  publish_idle_horizons_locked();
+  const bool probed =
+      std::any_of(outputs_.begin(), outputs_.end(), [](const auto& o) {
+        return o.second->probe_pending.load(std::memory_order_relaxed);
+      });
+  if (!probed) return;
+  lk.unlock();
+  flush_probe_responses();
+  lk.lock();
 }
 
 void ComponentRunner::drain_control(std::unique_lock<std::mutex>& lk) {
@@ -609,6 +672,9 @@ void ComponentRunner::drain_control(std::unique_lock<std::mutex>& lk) {
     ControlMsg msg = std::move(control_.front());
     control_.pop_front();
     lk.unlock();
+    // Control work reads or replays output positions: buffered emits go
+    // first (a replay would otherwise resend them ahead of their batch).
+    flush_outputs();
     serve_control(msg);
     lk.lock();
   }
@@ -619,8 +685,14 @@ void ComponentRunner::serve_control(const ControlMsg& msg) {
     const auto it = outputs_.find(replay->wire);
     if (it == outputs_.end()) return;
     OutputState& out = *it->second;
-    for (Message& m : out.retention.replay_from_seq(replay->from_seq))
-      router_.to_receiver(replay->wire, transport::DataFrame{std::move(m)});
+    // Served in hand-off-sized chunks: each is copied out of retention
+    // once and moved into the receiver.
+    std::vector<Message> chunk;
+    std::uint64_t from = replay->from_seq;
+    while (out.retention.read_from_seq(from, kHandoffBatchCap, chunk) > 0) {
+      from = chunk.back().seq + 1;
+      router_.to_receiver_batch(replay->wire, chunk);
+    }
     // Follow with the current horizon so the receiver is not stuck waiting
     // for silence that was announced before its failover.
     const std::uint64_t seq = out.next_seq.load();
@@ -772,12 +844,6 @@ void ComponentRunner::process(const Message& m) {
   }
 
   maybe_checkpoint();
-
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    publish_idle_horizons_locked();
-  }
-  flush_probe_responses();
 }
 
 TickDuration ComponentRunner::charge_for(const estimator::BlockCounters& c,
@@ -806,7 +872,7 @@ VirtualTime ComponentRunner::emit(OutputState& out, VirtualTime cursor,
   Message msg;
   msg.wire = out.spec.id;
   msg.vt = vt;
-  msg.seq = out.next_seq.load(std::memory_order_relaxed);
+  msg.seq = out.next_seq.load(std::memory_order_relaxed) + out.buffered.size();
   msg.kind = kind;
   msg.call_id = call_id;
   // Causal inheritance: whatever input triggered the dispatch we are
@@ -830,13 +896,42 @@ VirtualTime ComponentRunner::emit(OutputState& out, VirtualTime cursor,
     out.retention.record(msg);
   }
   out.last_sent = vt;
-  router_.to_receiver(out.spec.id, transport::DataFrame{msg});
-  // Only after the data frame is en route may the accounting cover its
-  // tick — otherwise a concurrent probe response could claim a data tick
-  // (count or horizon) the receiver has not seen yet.
-  out.next_seq.store(msg.seq + 1, std::memory_order_relaxed);
-  advance_published(out, vt);
+  out.buffered.push_back(std::move(msg));
+  buffered_.fetch_add(1, std::memory_order_relaxed);
+  // More input is queued behind this dispatch: keep the run, and hand it
+  // off in one batch at the next flush point (or at the cap). Otherwise
+  // hand off now; a send behind buffered frames rides at the end of their
+  // batch (FIFO on the wire). Same path in both scheduling modes; calls
+  // and replies never batch.
+  const bool keep =
+      out.batchable && queued_.load(std::memory_order_relaxed) > 0;
+  if (!keep || out.buffered.size() >= kHandoffBatchCap) hand_off(out);
   return vt;
+}
+
+void ComponentRunner::flush_outputs() {
+  if (buffered_.load(std::memory_order_relaxed) == 0) return;
+  for (auto& [wid, out] : outputs_)
+    if (!out->buffered.empty()) hand_off(*out);
+}
+
+void ComponentRunner::hand_off(OutputState& out) {
+  const std::size_t n = out.buffered.size();
+  const std::uint64_t next_seq = out.buffered.back().seq + 1;
+  const VirtualTime last_vt = out.buffered.back().vt;
+  {
+    TART_PROF_SPAN("runner.handoff");
+    router_.to_receiver_batch(out.spec.id, out.buffered);
+  }
+  out.buffered.clear();
+  // Only now that the batch is en route may the accounting cover its
+  // ticks — otherwise a concurrent probe response could claim a data tick
+  // (count or horizon) the receiver has not seen yet.
+  out.next_seq.store(next_seq, std::memory_order_relaxed);
+  advance_published(out, last_vt);
+  handoffs_->inc();
+  handoff_messages_->inc(n);
+  buffered_.fetch_sub(n, std::memory_order_release);
 }
 
 // ---------------------------------------------------------------------------
@@ -844,6 +939,9 @@ VirtualTime ComponentRunner::emit(OutputState& out, VirtualTime cursor,
 
 void ComponentRunner::advance_published(OutputState& out,
                                         VirtualTime through) {
+  // Never promise silence over a buffered (not yet sent) data tick.
+  if (!out.buffered.empty())
+    through = min(through, out.buffered.front().vt.prev());
   std::int64_t cur = out.published.load();
   while (through.ticks() > cur &&
          !out.published.compare_exchange_weak(cur, through.ticks())) {
@@ -917,6 +1015,7 @@ void ComponentRunner::publish_idle_horizons_locked() {
 }
 
 void ComponentRunner::publish_final_silence() {
+  flush_outputs();
   std::vector<SilenceUpdate> updates;
   for (auto& [wid, out] : outputs_) {
     advance_published(*out, VirtualTime::infinity());
@@ -971,6 +1070,9 @@ void ComponentRunner::maybe_checkpoint() {
 }
 
 void ComponentRunner::capture_checkpoint() {
+  // The snapshot's output positions and retention must agree: nothing
+  // may be retained but unsent.
+  flush_outputs();
   checkpoint::ComponentSnapshot s;
   s.component = id_;
   s.version = ++checkpoint_version_;
@@ -1120,7 +1222,9 @@ VirtualTime ComponentRunner::published_horizon(WireId wire) const {
 
 bool ComponentRunner::exhausted() const {
   const std::lock_guard<std::mutex> lk(mu_);
-  if (in_handler_ || !control_.empty()) return false;
+  if (in_handler_ || !control_.empty() ||
+      buffered_.load(std::memory_order_acquire) > 0)
+    return false;
   if (config_.mode == SchedulingMode::kArrivalOrder)
     return arrival_queue_.empty() && inbox_.exhausted();
   return inbox_.exhausted();
@@ -1136,12 +1240,15 @@ ComponentStatus ComponentRunner::status() const {
   st.id = id_;
   st.name = name_;
   st.vt_ticks = current_vt_.load(std::memory_order_acquire).ticks();
-  st.pending = inbox_.pending();
+  // Buffered emits count as pending work: until their batch is handed
+  // off, neither this component nor its receivers are quiescent.
+  const std::size_t buffered = buffered_.load(std::memory_order_acquire);
+  st.pending = inbox_.pending() + buffered;
   if (config_.mode == SchedulingMode::kArrivalOrder)
     st.pending += arrival_queue_.size();
-  st.exhausted = !in_handler_ && inbox_.exhausted();
-  const auto head = inbox_.peek();
-  st.held = head.has_value() && !inbox_.head_eligible();
+  st.exhausted = !in_handler_ && buffered == 0 && inbox_.exhausted();
+  const Message* head = inbox_.peek();
+  st.held = buffered == 0 && head != nullptr && !inbox_.head_eligible();
   if (st.held) {
     st.held_vt = head->vt.ticks();
     st.held_wire = head->wire;

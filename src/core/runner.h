@@ -22,9 +22,17 @@
 //
 // Thread-safety protocol: `mu_` guards the inbox, control queue and
 // arrival queue; the runner's scheduling state (cursor, positions,
-// retention, estimators) is touched only by the runner thread; published
-// horizons are atomics readable by any thread. Frames are never routed
-// while holding `mu_` (no lock-order cycles between runners).
+// retention, estimators, hand-off buffers) is touched only by the runner
+// thread; published horizons are atomics readable by any thread. Frames
+// are never routed while holding `mu_` (no lock-order cycles between
+// runners).
+//
+// Hand-off batching: while more input is queued behind the current
+// dispatch, data emits are buffered per output wire and handed to the
+// receiver as one batch (FrameRouter::to_receiver_batch: one route, one
+// receiver lock, one wake). With nothing queued an emit is routed at once,
+// so an idle pipeline keeps its per-message latency. Every point that
+// could wait on, expose or replay a wire's position flushes first.
 #pragma once
 
 #include <atomic>
@@ -35,6 +43,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <variant>
 #include <vector>
@@ -116,12 +125,18 @@ class ComponentRunner {
   /// Cooperative stop; joins the thread. Safe to call twice.
   void stop();
 
+  /// Longest run of emits one output wire buffers before handing it off.
+  static constexpr std::size_t kHandoffBatchCap = 64;
+
   // --- Frame entry points (any thread) -----------------------------------
 
-  void deliver_data(const Message& m);
+  /// The only way data enters the runner: offers `batch` (messages on
+  /// `wire`, in order; each is moved out) under one lock acquisition and
+  /// wakes the scheduler once. A single data frame is a batch of one.
+  void deliver_data(WireId wire, std::span<Message> batch);
   void deliver_silence(WireId wire, VirtualTime through,
                        std::uint64_t expected_seq = 0);
-  void deliver_reply(const Message& m);
+  void deliver_reply(Message&& m);
   /// Curiosity probe service: answered immediately from the published
   /// horizon without involving the runner thread.
   void handle_probe(WireId wire);
@@ -191,8 +206,18 @@ class ComponentRunner {
  private:
   friend class RunnerContext;
 
+  /// One output wire. Invariant: `next_seq` and `published` never cover
+  /// an unsent message. A message in `buffered` already holds its seq and
+  /// vt (and sits in `retention`), but `next_seq` counts only messages
+  /// handed to the router, and `published` stays below the first buffered
+  /// vt; both advance past a batch only once it is en route. A probe
+  /// answered meanwhile therefore under-reports, never over-promises.
   struct OutputState {
     WireSpec spec;
+    /// Data emits on this wire may be buffered: it leads to another
+    /// component or the outside world. Self (timer) wires never are — a
+    /// buffered timer would be invisible to the idle-horizon bound.
+    bool batchable = false;
     /// Written only by the runner thread; read by probe servicing from any
     /// thread (it travels in SilenceFrame::expected_seq).
     std::atomic<std::uint64_t> next_seq{0};
@@ -205,6 +230,8 @@ class ComponentRunner {
     /// the horizon to the receiver as soon as it advances (the probed
     /// sender "computes a new silence interval" and delivers it, §II.H).
     std::atomic<bool> probe_pending{false};
+    /// Emitted, not yet handed off (runner thread only); consecutive seqs.
+    std::vector<Message> buffered;
   };
 
   struct InputPos {
@@ -217,6 +244,12 @@ class ComponentRunner {
 
   void run();
   void process(const Message& m);
+  /// Post-dispatch bookkeeping, entered and left holding `mu_`: refreshes
+  /// the idle horizons and, only when a probe is pending, drops the lock
+  /// to answer it.
+  void after_dispatch(std::unique_lock<std::mutex>& lk);
+  /// Mirrors the queued input count into `queued_`. Requires `mu_`.
+  void note_queued_locked();
   void drain_control(std::unique_lock<std::mutex>& lk);
   void serve_control(const ControlMsg& msg);
   void send_probes();
@@ -238,6 +271,12 @@ class ComponentRunner {
   void advance_published(OutputState& out, VirtualTime through);
   /// Publishes +inf on all outputs and routes final silence frames.
   void publish_final_silence();
+
+  /// Hands every buffered output run to its receiver. No locks held.
+  void flush_outputs();
+  /// Hands `out.buffered` to the receiver as one batch, then advances the
+  /// wire's next_seq and published horizon past it.
+  void hand_off(OutputState& out);
 
   /// Pushes freshly-advanced horizons to receivers with outstanding probe
   /// interest. Must be called with no locks held.
@@ -280,6 +319,13 @@ class ComponentRunner {
   Inbox inbox_;
   std::deque<Message> arrival_queue_;  // kArrivalOrder mode
   std::deque<ControlMsg> control_;
+  /// Input messages queued behind the current dispatch (inbox or arrival
+  /// queue); written under mu_, read lock-free by emit() as the batching
+  /// gate.
+  std::atomic<std::size_t> queued_{0};
+  /// Emits buffered on any output and not yet delivered to a receiver;
+  /// while nonzero the runner is not quiescent (status/exhausted).
+  std::atomic<std::size_t> buffered_{0};
   std::atomic<bool> stop_{false};
   bool in_handler_ = false;
   bool final_silence_sent_ = false;
@@ -318,6 +364,10 @@ class ComponentRunner {
   /// Ingress queueing: durable-commit to first dispatch of an external
   /// input (recorded on the input's own first hop only).
   obs::Histogram* ingress_queue_hist_ = nullptr;
+  /// Router hand-offs of emitted messages (a direct send is a hand-off of
+  /// one, a flushed run a hand-off of many), and the messages they carried.
+  obs::Counter* handoffs_ = nullptr;
+  obs::Counter* handoff_messages_ = nullptr;
   std::map<WireId, std::int64_t> probe_sent_ns_;
 
   // Request-lineage origin of the message currently being processed

@@ -142,9 +142,9 @@ Runtime::Runtime(Topology topology, std::map<ComponentId, EngineId> placement,
     bridge->channel = std::make_unique<transport::ReliableChannel>(
         rc,
         // a_handler: frames arriving at `lo` (sent by `hi`).
-        [this](transport::Frame f) { dispatch_local(f); },
+        [this](transport::Frame f) { dispatch_local(std::move(f)); },
         // b_handler: frames arriving at `hi` (sent by `lo`).
-        [this](transport::Frame f) { dispatch_local(f); });
+        [this](transport::Frame f) { dispatch_local(std::move(f)); });
     bridges_.push_back(std::move(bridge));
   }
 }
@@ -259,8 +259,9 @@ VirtualTime Runtime::inject(WireId input_wire, Payload payload) {
     message_log_.append(m);
   }
   record_ingest(m, arrive_ns, wall_now_ns());
-  deliver_input(in, m);
-  return m.vt;
+  const VirtualTime vt_assigned = m.vt;
+  deliver_input(in, std::move(m));
+  return vt_assigned;
 }
 
 VirtualTime Runtime::inject_at(WireId input_wire, VirtualTime vt,
@@ -291,8 +292,9 @@ VirtualTime Runtime::inject_at(WireId input_wire, VirtualTime vt,
     message_log_.append(m);
   }
   record_ingest(m, arrive_ns, wall_now_ns());
-  deliver_input(in, m);
-  return m.vt;
+  const VirtualTime vt_assigned = m.vt;
+  deliver_input(in, std::move(m));
+  return vt_assigned;
 }
 
 InjectResult Runtime::try_inject(WireId input_wire, Payload payload) {
@@ -382,7 +384,7 @@ std::vector<InjectResult> Runtime::try_inject_batch(
   for (std::size_t b = 0; b < batch.size(); ++b) {
     if (!durable) results[batch_to_request[b]].status = InjectStatus::kStoreFailed;
     record_ingest(batch[b], batch[b].origin_wall_ns, durable_ns);
-    deliver_input(*adapters.at(batch[b].wire), batch[b]);
+    deliver_input(*adapters.at(batch[b].wire), std::move(batch[b]));
   }
   return results;
 }
@@ -405,17 +407,18 @@ void Runtime::close_input(WireId input_wire) {
   to_receiver(input_wire, answer);
 }
 
-void Runtime::deliver_input(InputAdapter& in, const Message& m) {
-  to_receiver(m.wire, transport::DataFrame{m});
+void Runtime::deliver_input(InputAdapter& in, Message&& m) {
+  const WireId wire = m.wire;
+  to_receiver(wire, transport::DataFrame{std::move(m)});
   std::optional<transport::SilenceFrame> answer;
   {
     const std::lock_guard<std::mutex> lk(in.mu);
     if (--in.in_flight == 0 && in.answer_deferred) {
       in.answer_deferred = false;
-      answer = silence_answer_locked(m.wire, in);
+      answer = silence_answer_locked(wire, in);
     }
   }
-  if (answer) to_receiver(m.wire, *answer);
+  if (answer) to_receiver(wire, *answer);
 }
 
 transport::SilenceFrame Runtime::silence_answer_locked(WireId wire,
@@ -471,9 +474,8 @@ void Runtime::set_output_ready_hook(std::function<void()> hook) {
   output_hook_ = std::move(hook);
 }
 
-void Runtime::deliver_external_output(WireId wire,
-                                      const transport::Frame& frame) {
-  const auto* data = std::get_if<transport::DataFrame>(&frame);
+void Runtime::deliver_external_output(WireId wire, transport::Frame&& frame) {
+  auto* data = std::get_if<transport::DataFrame>(&frame);
   if (data == nullptr) return;  // silence to the external world is dropped
   const auto pinned = output_sink(wire);
   if (pinned == nullptr) {  // output owned by a remote partition
@@ -486,7 +488,7 @@ void Runtime::deliver_external_output(WireId wire,
   {
     const std::lock_guard<std::mutex> lk(sink.mu);
     record.vt = data->msg.vt;
-    record.payload = data->msg.payload;
+    record.payload = std::move(data->msg.payload);
     record.origin_wire = data->msg.origin_wire;
     record.origin_seq = data->msg.origin_seq;
     // Output stutter (§II.A): after a rollback the system may re-deliver
@@ -562,9 +564,16 @@ void Runtime::handle_external_sender_frame(WireId wire,
       seq = in.next_seq;
     }
     // "If the 'sender' is an external component ... the messages are
-    // re-sent from the log" (§II.F.4).
-    for (Message& m : message_log_.replay_from_seq(wire, replay->from_seq))
-      to_receiver(wire, transport::DataFrame{std::move(m)});
+    // re-sent from the log" (§II.F.4) — in hand-off-sized chunks, each
+    // copied out of the log once and moved into the receiver.
+    std::vector<Message> chunk;
+    std::uint64_t from = replay->from_seq;
+    while (message_log_.read_from_seq(wire, from,
+                                      ComponentRunner::kHandoffBatchCap,
+                                      chunk) > 0) {
+      from = chunk.back().seq + 1;
+      to_receiver_batch(wire, chunk);
+    }
     to_receiver(wire,
                 transport::SilenceFrame{
                     wire, closed ? VirtualTime::infinity() : through, seq});
@@ -606,8 +615,8 @@ void Runtime::set_remote_router(RemoteRouter router) {
   remote_router_ = std::move(router);
 }
 
-void Runtime::deliver_from_peer(const transport::Frame& frame) {
-  dispatch_local(frame);
+void Runtime::deliver_from_peer(transport::Frame frame) {
+  dispatch_local(std::move(frame));
 }
 
 Runtime::LinkBridge* Runtime::bridge_between(EngineId a, EngineId b) {
@@ -631,12 +640,12 @@ void Runtime::route(EngineId src, EngineId dst, WireId wire,
     return;
   }
   if (src == dst || !src.is_valid() || !dst.is_valid()) {
-    dispatch_local(frame);
+    dispatch_local(std::move(frame));
     return;
   }
   LinkBridge* bridge = bridge_between(src, dst);
   if (bridge == nullptr) {
-    dispatch_local(frame);
+    dispatch_local(std::move(frame));
     return;
   }
   if (src == bridge->lo) {
@@ -646,32 +655,33 @@ void Runtime::route(EngineId src, EngineId dst, WireId wire,
   }
 }
 
-void Runtime::dispatch_local(const transport::Frame& frame) {
+void Runtime::dispatch_local(transport::Frame&& frame) {
   // Frame direction is implied by its type: data/silence travel with the
   // wire, probes/replays/stability travel against it.
   const WireId wire = transport::frame_wire(frame);
   if (std::holds_alternative<transport::DataFrame>(frame) ||
       std::holds_alternative<transport::SilenceFrame>(frame)) {
-    dispatch_to_receiver_local(wire, frame);
+    dispatch_to_receiver_local(wire, std::move(frame));
   } else {
     dispatch_to_sender_local(wire, frame);
   }
 }
 
 void Runtime::dispatch_to_receiver_local(WireId wire,
-                                         const transport::Frame& frame) {
+                                         transport::Frame&& frame) {
   const auto& spec = topology_.wire(wire);
   if (spec.kind == WireKind::kExternalOutput) {
-    deliver_external_output(wire, frame);
+    deliver_external_output(wire, std::move(frame));
     return;
   }
   // A peer process may (buggily) hand us a frame for a component it hosts
   // itself; dropping beats crashing the node.
-  if (!engine_is_local(engine_of(spec.to))) {
+  const EngineId dst = engine_of(spec.to);
+  if (!engine_is_local(dst)) {
     remote_frames_dropped_.fetch_add(1);
     return;
   }
-  engines_.at(engine_of(spec.to))->deliver_to_receiver(wire, frame);
+  engines_.at(dst)->deliver_to_receiver(wire, std::move(frame));
 }
 
 void Runtime::dispatch_to_sender_local(WireId wire,
@@ -688,19 +698,45 @@ void Runtime::dispatch_to_sender_local(WireId wire,
   engines_.at(engine_of(spec.from))->deliver_to_sender(wire, frame);
 }
 
+std::pair<EngineId, EngineId> Runtime::receiver_route(
+    const WireSpec& spec) const {
+  const std::shared_lock<std::shared_mutex> lk(placement_mu_);
+  const EngineId dst = placement_.at(spec.to);
+  const EngineId src =
+      spec.kind == WireKind::kExternalInput || !spec.from.is_valid()
+          ? dst
+          : placement_.at(spec.from);
+  return {src, dst};
+}
+
 void Runtime::to_receiver(WireId wire, transport::Frame frame) {
   const auto& spec = topology_.wire(wire);
   if (spec.kind == WireKind::kExternalOutput) {
-    deliver_external_output(wire, frame);
+    deliver_external_output(wire, std::move(frame));
     return;
   }
-  const EngineId dst = engine_of(spec.to);
-  // External inputs enter at the receiver's engine (the adapter timestamps
-  // and logs at the boundary), so their src is the destination itself.
-  const EngineId src = spec.kind == WireKind::kExternalInput || !spec.from.is_valid()
-                           ? dst
-                           : engine_of(spec.from);
+  const auto [src, dst] = receiver_route(spec);
   route(src, dst, wire, std::move(frame));
+}
+
+void Runtime::to_receiver_batch(WireId wire, std::span<Message> batch) {
+  if (batch.empty()) return;
+  const auto& spec = topology_.wire(wire);
+  if (spec.kind == WireKind::kExternalOutput) {
+    for (Message& m : batch)
+      deliver_external_output(wire, transport::DataFrame{std::move(m)});
+    return;
+  }
+  const auto [src, dst] = receiver_route(spec);
+  // A local receiver with no simulated link in between takes the whole run
+  // at once; peer and bridge frames keep their per-frame path.
+  if (engine_is_local(dst) &&
+      (src == dst || bridge_between(src, dst) == nullptr)) {
+    engines_.at(dst)->deliver_batch_to_receiver(wire, batch);
+    return;
+  }
+  for (Message& m : batch)
+    route(src, dst, wire, transport::DataFrame{std::move(m)});
 }
 
 void Runtime::to_sender(WireId wire, transport::Frame frame) {

@@ -25,6 +25,7 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -200,7 +201,7 @@ class Runtime final : public FrameRouter {
   /// exactly as a local frame would be. Frames naming non-local components
   /// are dropped (counted), never fatal — a confused peer must not crash
   /// this node.
-  void deliver_from_peer(const transport::Frame& frame);
+  void deliver_from_peer(transport::Frame frame);
 
   [[nodiscard]] bool engine_is_local(EngineId id) const;
   /// Cross-partition frames dropped for lack of a route or local owner.
@@ -370,6 +371,7 @@ class Runtime final : public FrameRouter {
   // --- FrameRouter ----------------------------------------------------------
 
   void to_receiver(WireId wire, transport::Frame frame) override;
+  void to_receiver_batch(WireId wire, std::span<Message> batch) override;
   void to_sender(WireId wire, transport::Frame frame) override;
 
  private:
@@ -410,19 +412,25 @@ class Runtime final : public FrameRouter {
     std::unique_ptr<transport::ReliableChannel> channel;
   };
 
-  void dispatch_local(const transport::Frame& frame);
-  void dispatch_to_receiver_local(WireId wire, const transport::Frame& frame);
+  void dispatch_local(transport::Frame&& frame);
+  void dispatch_to_receiver_local(WireId wire, transport::Frame&& frame);
   void dispatch_to_sender_local(WireId wire, const transport::Frame& frame);
   void handle_external_sender_frame(WireId wire,
                                     const transport::Frame& frame);
   /// Delivers one stamped input message and, once none of the adapter's
   /// messages is in flight any more, sends any silence answer deferred
   /// meanwhile.
-  void deliver_input(InputAdapter& in, const Message& m);
+  void deliver_input(InputAdapter& in, Message&& m);
   /// The adapter's current silence promise (caller holds `in.mu`).
   [[nodiscard]] transport::SilenceFrame silence_answer_locked(
       WireId wire, InputAdapter& in);
-  void deliver_external_output(WireId wire, const transport::Frame& frame);
+  void deliver_external_output(WireId wire, transport::Frame&& frame);
+  /// Sending and receiving engines of a receiver-bound frame on `spec`,
+  /// resolved under one placement lock. External inputs enter at the
+  /// receiver's engine (the adapter timestamps and logs at the boundary),
+  /// so their source is the destination itself.
+  [[nodiscard]] std::pair<EngineId, EngineId> receiver_route(
+      const WireSpec& spec) const;
   [[nodiscard]] LinkBridge* bridge_between(EngineId a, EngineId b);
   /// Routes a frame that must travel from engine `src` toward engine `dst`,
   /// through the pair's link when one is configured.

@@ -42,7 +42,8 @@ struct ComponentStatus {
   std::string name;
   /// Virtual-time frontier: everything up to here is settled.
   std::int64_t vt_ticks = 0;
-  /// Total messages pending across all input wires.
+  /// Total messages pending across all input wires, plus emitted messages
+  /// still buffered for a batched hand-off (work not yet at a receiver).
   std::uint64_t pending = 0;
   bool exhausted = false;
   /// Crashed and awaiting recovery; the rest of the fields are zero.

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <utility>
 
+#include "common/thread_name.h"
 #include "core/runtime.h"
 #include "log/segmented_store.h"
 #include "obs/prof.h"
@@ -86,7 +87,10 @@ void CheckpointManager::start() {
     const std::lock_guard<std::mutex> lk(trigger_mu_);
     trigger_stop_ = false;
   }
-  trigger_thread_ = std::thread([this] { trigger_loop(); });
+  trigger_thread_ = std::thread([this] {
+    set_thread_name("ckpt");
+    trigger_loop();
+  });
 }
 
 void CheckpointManager::stop() {

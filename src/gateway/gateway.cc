@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/thread_name.h"
 #include "durability/manager.h"
 #include "net/partition_config.h"
 #include "obs/exposition.h"
@@ -156,12 +157,18 @@ Gateway::Gateway(core::Runtime* runtime, Options options,
                            " failed: " + err);
   port_ = net::local_port(listener_.get());
 
-  committer_ = std::thread([this] { committer_main(); });
+  committer_ = std::thread([this] {
+    set_thread_name("gw-commit");
+    committer_main();
+  });
   loop_.post([this] {
     loop_.set_fd(listener_.get(), true, false,
                  [this](unsigned) { on_accept(); });
   });
-  loop_thread_ = std::thread([this] { loop_.run(); });
+  loop_thread_ = std::thread([this] {
+    set_thread_name("gw-loop");
+    loop_.run();
+  });
   runtime_->set_output_ready_hook([this] {
     if (!wake_posted_.exchange(true)) loop_.post([this] { wake_parked(); });
   });
@@ -386,6 +393,7 @@ void Gateway::handle_request(std::uint64_t id, HttpRequest req) {
     const bool keep = req.keep_alive;
     const std::lock_guard<std::mutex> lk(workers_mu_);
     workers_.emplace_back([this, id, timeout_ms, keep] {
+      set_thread_name("gw-drain");
       const bool ok =
           runtime_->drain(std::chrono::milliseconds(timeout_ms));
       loop_.post([this, id, ok, keep] {
@@ -423,6 +431,7 @@ void Gateway::handle_request(std::uint64_t id, HttpRequest req) {
     const bool keep = req.keep_alive;
     const std::lock_guard<std::mutex> lk(workers_mu_);
     workers_.emplace_back([this, id, mgr, keep] {
+      set_thread_name("gw-checkpoint");
       const durability::CheckpointStats stats = mgr->checkpoint_now();
       loop_.post([this, id, stats, keep] {
         if (!conns_.contains(id)) return;
@@ -701,6 +710,7 @@ void Gateway::handle_migrate(std::uint64_t id, const HttpRequest& req) {
   const std::string node(*to);
   const std::lock_guard<std::mutex> lk(workers_mu_);
   workers_.emplace_back([this, id, comp, node, keep] {
+    set_thread_name("gw-migrate");
     MigrateOutcome r;
     try {
       r = host_.migrate(comp, node);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 
 #include "log/segmented_store.h"
 
@@ -110,13 +111,27 @@ std::vector<Message> ExternalMessageLog::replay_after(
 
 std::vector<Message> ExternalMessageLog::replay_from_seq(
     WireId wire, std::uint64_t from_seq) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
   std::vector<Message> out;
-  const auto it = entries_.find(wire);
-  if (it == entries_.end()) return out;
-  for (const Message& m : it->second)
-    if (m.seq >= from_seq) out.push_back(m);
+  (void)read_from_seq(wire, from_seq, SIZE_MAX, out);
   return out;
+}
+
+std::size_t ExternalMessageLog::read_from_seq(WireId wire,
+                                              std::uint64_t from_seq,
+                                              std::size_t max,
+                                              std::vector<Message>& out) const {
+  out.clear();
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = entries_.find(wire);
+  if (it == entries_.end()) return 0;
+  const auto& list = it->second;
+  const auto first = std::lower_bound(
+      list.begin(), list.end(), from_seq,
+      [](const Message& m, std::uint64_t s) { return m.seq < s; });
+  const std::size_t n =
+      std::min(max, static_cast<std::size_t>(list.end() - first));
+  out.assign(first, first + static_cast<std::ptrdiff_t>(n));
+  return n;
 }
 
 std::uint64_t ExternalMessageLog::size(WireId wire) const {

@@ -62,6 +62,14 @@ class ExternalMessageLog {
   [[nodiscard]] std::vector<Message> replay_from_seq(
       WireId wire, std::uint64_t from_seq) const;
 
+  /// Bounded replay feed: replaces `out` with at most `max` logged
+  /// messages on `wire` from seq `from_seq` on, in order (reusing its
+  /// storage), and returns how many. The restart feed loops over these
+  /// chunks, so a suffix is never materialised whole; the lock is held
+  /// only while one chunk is copied.
+  std::size_t read_from_seq(WireId wire, std::uint64_t from_seq,
+                            std::size_t max, std::vector<Message>& out) const;
+
   [[nodiscard]] std::uint64_t size(WireId wire) const;
   [[nodiscard]] std::uint64_t total_size() const;
 

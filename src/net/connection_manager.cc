@@ -6,6 +6,7 @@
 #include <cerrno>
 
 #include "common/logging.h"
+#include "common/thread_name.h"
 #include "obs/prof.h"
 
 namespace tart::net {
@@ -51,6 +52,7 @@ ConnectionManager::ConnectionManager(Options options, FrameHandler on_frame,
   }
 
   thread_ = std::thread([this] {
+    set_thread_name("net-loop");
     loop_.post([this] {
       start_listening();
       for (auto& [name, peer] : peers_)

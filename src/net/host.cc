@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/thread_name.h"
 #include "durability/manager.h"
 #include "durability/replay.h"
 #include "gateway/http_client.h"
@@ -225,7 +226,10 @@ void NetHost::start() {
   }
 
   if (!options_.push_addr.empty())
-    push_thread_ = std::thread([this] { push_loop(); });
+    push_thread_ = std::thread([this] {
+      set_thread_name("obs-push");
+      push_loop();
+    });
 
   started_ = true;
 }
@@ -394,7 +398,7 @@ void NetHost::push_loop() {
 
 void NetHost::on_peer_frame(const std::string& peer, transport::Frame frame) {
   (void)peer;
-  runtime_->deliver_from_peer(frame);
+  runtime_->deliver_from_peer(std::move(frame));
 }
 
 void NetHost::on_link(const std::string& peer, bool up) {

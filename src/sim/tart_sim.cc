@@ -161,7 +161,7 @@ class Simulation {
       optimistic_receive(m);
       return;
     }
-    const AcceptResult r = inbox_.offer(m);
+    const AcceptResult r = inbox_.offer(Message(m));
     assert(r == AcceptResult::kAccepted);
     (void)r;
     peak_queue();

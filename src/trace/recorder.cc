@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/thread_name.h"
 #include "obs/prof.h"
 
 namespace tart::trace {
@@ -23,7 +24,10 @@ TraceRecorder::TraceRecorder(TraceConfig config,
     index_.emplace(c, slots_.size());
     slots_.push_back(std::move(slot));
   }
-  writer_ = std::thread([this] { writer_loop(); });
+  writer_ = std::thread([this] {
+    set_thread_name("trace");
+    writer_loop();
+  });
 }
 
 TraceRecorder::~TraceRecorder() { finalize(); }

@@ -1,12 +1,17 @@
 #include "transport/network_link.h"
 
+#include "common/thread_name.h"
+
 namespace tart::transport {
 
 NetworkLink::NetworkLink(LinkConfig config, Receiver receiver)
     : config_(config),
       receiver_(std::move(receiver)),
       rng_(config.seed),
-      thread_([this] { delivery_loop(); }) {}
+      thread_([this] {
+        set_thread_name("link-deliver");
+        delivery_loop();
+      }) {}
 
 NetworkLink::~NetworkLink() { shutdown(); }
 

@@ -1,5 +1,7 @@
 #include "transport/reliable_link.h"
 
+#include "common/thread_name.h"
+
 namespace tart::transport {
 
 namespace {
@@ -37,7 +39,10 @@ ReliableChannel::ReliableChannel(ReliableConfig config, FrameHandler a_handler,
       config_.backward, [this](std::vector<std::byte> packet) {
         on_packet(b_to_a_, *forward_, a_handler_, std::move(packet));
       });
-  retransmit_thread_ = std::thread([this] { retransmit_loop(); });
+  retransmit_thread_ = std::thread([this] {
+    set_thread_name("link-retx");
+    retransmit_loop();
+  });
 }
 
 ReliableChannel::~ReliableChannel() { shutdown(); }

@@ -40,7 +40,7 @@ __attribute__((cold, noinline)) void Inbox::trace_gap(
                  m.seq);
 }
 
-AcceptResult Inbox::offer(const Message& m) {
+AcceptResult Inbox::offer(Message&& m) {
   auto it = wires_.find(m.wire);
   assert(it != wires_.end() && "message for unregistered wire");
   WireState& w = it->second;
@@ -68,7 +68,7 @@ AcceptResult Inbox::offer(const Message& m) {
   // The message's vt accounts all earlier ticks as (implied) silence and
   // its own tick as data.
   w.horizon = m.vt;
-  w.pending.push_back(m);
+  w.pending.push_back(std::move(m));
   return AcceptResult::kAccepted;
 }
 
@@ -87,20 +87,21 @@ bool Inbox::announce_silence(WireId wire, VirtualTime through,
   return false;
 }
 
-std::optional<Message> Inbox::peek() const {
+const Inbox::WireState* Inbox::head_wire() const {
   const WireState* best = nullptr;
-  WireId best_id;
   for (const auto& [id, w] : wires_) {
     if (w.pending.empty()) continue;
-    const Message& head = w.pending.front();
-    if (best == nullptr ||
-        head.key() < std::pair{best->pending.front().vt, best_id}) {
+    // Ties on vt go to the smaller wire id: wires_ iterates in id order, so
+    // only a strictly earlier vt displaces the current best.
+    if (best == nullptr || w.pending.front().vt < best->pending.front().vt)
       best = &w;
-      best_id = id;
-    }
   }
-  if (best == nullptr) return std::nullopt;
-  return best->pending.front();
+  return best;
+}
+
+const Message* Inbox::peek() const {
+  const WireState* w = head_wire();
+  return w == nullptr ? nullptr : &w->pending.front();
 }
 
 bool Inbox::permits(const WireState& w, WireId other_id, VirtualTime t,
@@ -117,29 +118,33 @@ bool Inbox::permits(const WireState& w, WireId other_id, VirtualTime t,
   return h >= t.prev() && other_id > id;
 }
 
-bool Inbox::head_eligible() const {
-  const auto head = peek();
-  if (!head) return false;
+bool Inbox::eligible(const Message& head) const {
   for (const auto& [id, w] : wires_) {
-    if (id == head->wire) continue;
-    if (!permits(w, id, head->vt, head->wire)) return false;
+    if (id == head.wire) continue;
+    if (!permits(w, id, head.vt, head.wire)) return false;
   }
   return true;
 }
 
+bool Inbox::head_eligible() const {
+  const Message* head = peek();
+  return head != nullptr && eligible(*head);
+}
+
 std::optional<Message> Inbox::pop() {
-  if (!head_eligible()) return std::nullopt;
-  const auto head = peek();
-  auto& w = wires_.at(head->wire);
-  Message m = std::move(w.pending.front());
-  w.pending.pop_front();
+  // Locate the head once; the const lookup hands back one of our own
+  // wires, so dropping the const to move out of it is sound.
+  auto* w = const_cast<WireState*>(head_wire());
+  if (w == nullptr || !eligible(w->pending.front())) return std::nullopt;
+  std::optional<Message> m(std::move(w->pending.front()));
+  w->pending.pop_front();
   return m;
 }
 
 std::vector<WireId> Inbox::lagging_wires() const {
   std::vector<WireId> out;
-  const auto head = peek();
-  if (!head) return out;
+  const Message* head = peek();
+  if (head == nullptr) return out;
   for (const auto& [id, w] : wires_) {
     if (id == head->wire) continue;
     if (!permits(w, id, head->vt, head->wire)) out.push_back(id);

@@ -81,8 +81,9 @@ class Inbox {
   }
 
   /// Offers an arriving message. FIFO per wire; the message's vt implicitly
-  /// accounts all earlier ticks on that wire as silent.
-  AcceptResult offer(const Message& m);
+  /// accounts all earlier ticks on that wire as silent. Moves `m` into the
+  /// queue only when accepted; a duplicate or gap leaves it untouched.
+  AcceptResult offer(Message&& m);
 
   /// Explicit silence announcement: `wire` has no data through `through`.
   /// Monotonic; stale announcements are ignored. When `expected_seq` is
@@ -94,8 +95,9 @@ class Inbox {
                         std::uint64_t expected_seq = 0);
 
   /// The head that must be processed next in (vt, wire) order, if any
-  /// message is pending at all (regardless of eligibility).
-  [[nodiscard]] std::optional<Message> peek() const;
+  /// message is pending at all (regardless of eligibility); null otherwise.
+  /// Valid until the next offer/pop/restore_position.
+  [[nodiscard]] const Message* peek() const;
 
   /// True when the next head (per peek) is eligible for dequeue under the
   /// pessimistic rule.
@@ -154,6 +156,12 @@ class Inbox {
   /// Is head (t, id) allowed to run given wire w's state?
   [[nodiscard]] static bool permits(const WireState& w, WireId other_id,
                                     VirtualTime t, WireId id);
+
+  /// The wire holding the (vt, wire)-least pending head; null when nothing
+  /// is pending.
+  [[nodiscard]] const WireState* head_wire() const;
+  /// True when no other wire blocks `head` (a pending head of this inbox).
+  [[nodiscard]] bool eligible(const Message& head) const;
 
   [[nodiscard]] const WireState* find(WireId wire) const;
 

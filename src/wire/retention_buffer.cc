@@ -1,5 +1,6 @@
 #include "wire/retention_buffer.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace tart {
@@ -31,12 +32,21 @@ std::vector<Message> RetentionBuffer::replay_after(VirtualTime after) const {
   return out;
 }
 
-std::vector<Message> RetentionBuffer::replay_from_seq(
-    std::uint64_t from_seq) const {
-  std::vector<Message> out;
-  for (const Message& m : buf_)
-    if (m.seq >= from_seq) out.push_back(m);
-  return out;
+std::size_t RetentionBuffer::read_from_seq(std::uint64_t from_seq,
+                                           std::size_t max,
+                                           std::vector<Message>& out) const {
+  out.clear();
+  if (buf_.empty()) return 0;
+  // Retained seqs are consecutive (record() asserts it; trims drop a
+  // prefix), so the first wanted message sits at a fixed offset.
+  const std::uint64_t first = buf_.front().seq;
+  const std::uint64_t skip = from_seq > first ? from_seq - first : 0;
+  if (skip >= buf_.size()) return 0;
+  const auto begin = buf_.begin() + static_cast<std::ptrdiff_t>(skip);
+  const std::size_t n =
+      std::min(max, buf_.size() - static_cast<std::size_t>(skip));
+  out.assign(begin, begin + static_cast<std::ptrdiff_t>(n));
+  return n;
 }
 
 void RetentionBuffer::clear() {

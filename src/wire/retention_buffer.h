@@ -43,9 +43,11 @@ class RetentionBuffer {
   /// Returns the number of records dropped.
   std::size_t trim_below_seq(std::uint64_t below_seq);
 
-  /// Replays every retained message with seq >= `from_seq`.
-  [[nodiscard]] std::vector<Message> replay_from_seq(
-      std::uint64_t from_seq) const;
+  /// Replays retained messages with seq >= `from_seq`, boundedly: replaces
+  /// `out` with at most `max` of them, in order (reusing its storage), and
+  /// returns how many. A replay request is served as a loop of chunks.
+  std::size_t read_from_seq(std::uint64_t from_seq, std::size_t max,
+                            std::vector<Message>& out) const;
 
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
   [[nodiscard]] bool empty() const { return buf_.empty(); }

@@ -37,6 +37,16 @@ TEST(MessageLogTest, ReplayFromSeq) {
     log.append(external(w, 1000 * (i + 1), static_cast<std::uint64_t>(i), "x"));
   EXPECT_EQ(log.replay_from_seq(w, 2).size(), 3u);
   EXPECT_EQ(log.replay_from_seq(w, 0).size(), 5u);
+  // The bounded feed: chunks of at most `max`, in seq order.
+  std::vector<Message> chunk;
+  EXPECT_EQ(log.read_from_seq(w, 1, 3, chunk), 3u);
+  EXPECT_EQ(chunk.front().seq, 1u);
+  EXPECT_EQ(chunk.back().seq, 3u);
+  EXPECT_EQ(log.read_from_seq(w, 4, 3, chunk), 1u);
+  EXPECT_EQ(chunk.front().seq, 4u);
+  EXPECT_EQ(log.read_from_seq(w, 5, 3, chunk), 0u);
+  EXPECT_TRUE(chunk.empty());
+  EXPECT_EQ(log.read_from_seq(WireId(9), 0, 3, chunk), 0u);
 }
 
 TEST(MessageLogTest, WiresAreIndependent) {

@@ -74,7 +74,8 @@ TEST_P(InboxOracleProperty, DeliversTheGlobalSortedMerge) {
     auto& s = streams[rng.bounded(streams.size())];
     if (s.offered < s.messages.size() && rng.chance(0.7)) {
       // Next arrival on this wire (FIFO per wire).
-      EXPECT_EQ(inbox.offer(s.messages[s.offered]), AcceptResult::kAccepted);
+      EXPECT_EQ(inbox.offer(Message(s.messages[s.offered])),
+                AcceptResult::kAccepted);
       ++s.offered;
       --remaining;
     } else {
@@ -95,7 +96,7 @@ TEST_P(InboxOracleProperty, DeliversTheGlobalSortedMerge) {
     if (rng.chance(0.1)) {
       auto& d = streams[rng.bounded(streams.size())];
       if (d.offered > 0) {
-        EXPECT_EQ(inbox.offer(d.messages[rng.bounded(d.offered)]),
+        EXPECT_EQ(inbox.offer(Message(d.messages[rng.bounded(d.offered)])),
                   AcceptResult::kDuplicate);
       }
     }
@@ -133,7 +134,7 @@ TEST_P(InboxOracleProperty, NeverDeliversEarly) {
   m.wire = WireId(1);
   m.vt = VirtualTime(rng.uniform_int(1, 1'000'000));
   m.seq = 0;
-  ASSERT_EQ(inbox.offer(m), AcceptResult::kAccepted);
+  ASSERT_EQ(inbox.offer(Message(m)), AcceptResult::kAccepted);
   for (int i = 0; i < 10; ++i) EXPECT_FALSE(inbox.pop().has_value());
   // Silence strictly below the head is still not enough (wire 0 wins ties).
   (void)inbox.announce_silence(WireId(0), m.vt.prev(), 0);

@@ -91,8 +91,8 @@ TEST_F(InboxMergeTest, PaperExampleProcessesSender2First) {
   EXPECT_EQ(inbox.offer(msg(w1, 233000, 0)), AcceptResult::kAccepted);
   EXPECT_EQ(inbox.offer(msg(w2, 202000, 0)), AcceptResult::kAccepted);
 
-  const auto head = inbox.peek();
-  ASSERT_TRUE(head.has_value());
+  const Message* head = inbox.peek();
+  ASSERT_NE(head, nullptr);
   EXPECT_EQ(head->vt, VirtualTime(202000));
   EXPECT_EQ(head->wire, w2);
   // Both wires have pending heads, so the merge can proceed immediately:
@@ -325,9 +325,22 @@ TEST(RetentionBufferTest, ReplayFromSeq) {
   RetentionBuffer buf;
   for (int i = 0; i < 5; ++i)
     buf.record(msg(WireId(1), 100 * (i + 1), static_cast<std::uint64_t>(i)));
-  EXPECT_EQ(buf.replay_from_seq(3).size(), 2u);
-  EXPECT_EQ(buf.replay_from_seq(0).size(), 5u);
-  EXPECT_EQ(buf.replay_from_seq(99).size(), 0u);
+  std::vector<Message> out;
+  EXPECT_EQ(buf.read_from_seq(3, 99, out), 2u);
+  EXPECT_EQ(out.size(), 2u);
+  EXPECT_EQ(buf.read_from_seq(0, 99, out), 5u);
+  EXPECT_EQ(buf.read_from_seq(99, 99, out), 0u);
+  EXPECT_TRUE(out.empty());
+  // Bounded chunks, in order, continuing where the last one ended; the
+  // offset holds after a trimmed prefix too.
+  EXPECT_EQ(buf.read_from_seq(1, 2, out), 2u);
+  EXPECT_EQ(out.front().seq, 1u);
+  EXPECT_EQ(out.back().seq, 2u);
+  buf.trim_below_seq(2);
+  EXPECT_EQ(buf.read_from_seq(0, 2, out), 2u);
+  EXPECT_EQ(out.front().seq, 2u);
+  EXPECT_EQ(buf.read_from_seq(4, 2, out), 1u);
+  EXPECT_EQ(out.front().seq, 4u);
 }
 
 TEST(RetentionBufferTest, StabilityTrimsPrefix) {

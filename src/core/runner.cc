@@ -1282,4 +1282,10 @@ std::size_t ComponentRunner::retained_messages() const {
   return n;
 }
 
+std::size_t ComponentRunner::retention_memory_bytes() const {
+  std::size_t n = 0;
+  for (const auto& [wid, out] : outputs_) n += out->retention.memory_bytes();
+  return n;
+}
+
 }  // namespace tart::core

@@ -186,6 +186,9 @@ class ComponentRunner {
   /// Total messages currently retained across all output wires (bounded by
   /// downstream checkpoint progress; the retention ablation measures this).
   [[nodiscard]] std::size_t retained_messages() const;
+  /// Bytes those retained messages occupy. Like retained_messages(), safe
+  /// to call from any thread.
+  [[nodiscard]] std::size_t retention_memory_bytes() const;
 
   struct SilenceUpdate {
     WireId wire;

@@ -454,7 +454,7 @@ std::vector<OutputRecord> Runtime::output_records(WireId output_wire,
   const auto pinned = output_sink(output_wire);
   if (pinned == nullptr) return {};
   const std::lock_guard<std::mutex> lk(pinned->mu);
-  const std::vector<OutputRecord>& records = pinned->records;
+  const std::deque<OutputRecord>& records = pinned->records;
   if (after >= records.size()) return {};
   const auto first = records.begin() + static_cast<std::ptrdiff_t>(after);
   const std::size_t n = std::min(max, records.size() - after);
@@ -782,6 +782,23 @@ std::size_t Runtime::retained_messages(ComponentId component) {
   Engine& e = *engines_.at(engine_of(component));
   const auto r = e.runner(component);
   return r == nullptr ? 0 : r->retained_messages();
+}
+
+void Runtime::harvest_memory_gauges() {
+  registry_
+      .gauge("tart_log_memory_bytes",
+             "Bytes the external input log holds in memory.")
+      .set(static_cast<std::int64_t>(message_log_.memory_bytes()));
+  for (const auto& [component, engine] : placement_snapshot()) {
+    if (!engine_is_local(engine)) continue;
+    const auto r = engines_.at(engine)->runner(component);
+    registry_
+        .gauge("tart_retention_memory_bytes",
+               "Bytes the component's output retention holds in memory.",
+               {{"component", topology_.component(component).name}})
+        .set(static_cast<std::int64_t>(
+            r == nullptr ? 0 : r->retention_memory_bytes()));
+  }
 }
 
 MetricsSnapshot Runtime::total_metrics() const {

@@ -19,6 +19,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -234,6 +235,12 @@ class Runtime final : public FrameRouter {
   [[nodiscard]] std::uint64_t state_fingerprint(ComponentId component);
   /// Messages currently held in a component's output retention buffers.
   [[nodiscard]] std::size_t retained_messages(ComponentId component);
+  /// Sets the memory gauges from the stores' current sizes:
+  /// tart_log_memory_bytes (the external log) and
+  /// tart_retention_memory_bytes{component} (each local component's output
+  /// retention; 0 while crashed). Called when telemetry is harvested or
+  /// scraped, never per message.
+  void harvest_memory_gauges();
   [[nodiscard]] const log::ExternalMessageLog& external_log() const {
     return message_log_;
   }
@@ -402,7 +409,7 @@ class Runtime final : public FrameRouter {
   struct OutputSink {
     mutable std::mutex mu;
     OutputCallback callback;
-    std::vector<OutputRecord> records;
+    std::deque<OutputRecord> records;
     VirtualTime last_vt = VirtualTime(-1);
   };
 

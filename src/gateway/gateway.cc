@@ -479,6 +479,7 @@ void Gateway::handle_request(std::uint64_t id, HttpRequest req) {
     // families plus every registry sample — per-component counters,
     // pessimism-stall and probe-RTT histograms, and the gateway's own
     // latency/batch cells.
+    runtime_->harvest_memory_gauges();
     respond(id, 200, {{"Content-Type", obs::kPrometheusContentType}},
             obs::render_prometheus(snapshot(), runtime_->registry(),
                                    options_.exemplars),
@@ -502,6 +503,7 @@ void Gateway::handle_request(std::uint64_t id, HttpRequest req) {
       respond(id, 405, {{"Allow", "GET"}}, "GET only\n", req.keep_alive);
       return;
     }
+    runtime_->harvest_memory_gauges();
     const obs::NodeReport report{host_.node, snapshot(),
                                  runtime_->registry().samples(), status()};
     const std::vector<std::byte> body = report.encode();

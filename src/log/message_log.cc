@@ -8,47 +8,37 @@
 
 namespace tart::log {
 
-void ExternalMessageLog::append_locked(const Message& message) {
-  auto& list = entries_[message.wire];
-  if (list.empty()) {
-    // First retained entry on this wire must continue from the base (when
-    // a compaction base exists; otherwise any starting seq is accepted).
-    const auto base = base_seq_.find(message.wire);
-    assert(base == base_seq_.end() || message.seq == base->second);
-    (void)base;
-  } else {
-    assert(message.seq == list.back().seq + 1 &&
-           message.vt >= list.back().vt);
-  }
-  list.push_back(message);
-  order_.emplace_back(message.wire, message.seq);
+std::span<const std::byte> ExternalMessageLog::append_locked(
+    const Message& message) {
+  WireLog& w = wires_[message.wire];
+  // Per wire the seqs are consecutive; the first retained entry continues
+  // from the base (when a compaction base exists; otherwise any starting
+  // seq is accepted).
+  assert(w.records.empty()
+             ? (!w.has_base || message.seq == w.base_seq)
+             : (message.seq == w.records.end_seq() &&
+                message.vt >= w.records.header(message.seq - 1).vt));
+  order_.push_back(message.wire);
+  return w.records.append(message);
 }
 
 void ExternalMessageLog::append(const Message& message) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  append_locked(message);
-  if (store_ != nullptr) {
-    serde::Writer w;
-    message.encode(w);
-    store_->append(w.bytes());
-  }
+  const auto bytes = append_locked(message);
+  if (store_ != nullptr) store_->append(bytes);
 }
 
 bool ExternalMessageLog::append_batch(const std::vector<Message>& messages) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  bool durable = true;
-  if (store_ != nullptr && !messages.empty()) {
-    std::vector<std::vector<std::byte>> records;
-    records.reserve(messages.size());
-    for (const Message& m : messages) {
-      serde::Writer w;
-      m.encode(w);
-      records.push_back(w.take());
-    }
-    durable = store_->append_batch(records);
+  // Each message is encoded once, into the log; the store frames those
+  // same bytes (they stay put while the lock is held).
+  std::vector<std::span<const std::byte>> records;
+  if (store_ != nullptr) records.reserve(messages.size());
+  for (const Message& m : messages) {
+    const auto bytes = append_locked(m);
+    if (store_ != nullptr) records.push_back(bytes);
   }
-  for (const Message& m : messages) append_locked(m);
-  return durable;
+  return store_ == nullptr || records.empty() || store_->append_batch(records);
 }
 
 void ExternalMessageLog::attach_store(SegmentedStore* store) {
@@ -64,48 +54,57 @@ void ExternalMessageLog::load(const SegmentedStore& store,
       std::max(covered_index, store.first_retained_index()),
       store.next_index());
   const std::lock_guard<std::mutex> lock(mutex_);
-  // Decode into locals and install them only once every record decoded: a
-  // bad record (or trailing bytes) fails the whole load cleanly.
-  std::map<WireId, std::vector<Message>> entries;
-  std::deque<std::pair<WireId, std::uint64_t>> order;
-  store.read_from(from, [&](std::span<const std::byte> record) {
-    serde::Reader r(record.data(), record.size());
-    Message m = Message::decode(r);
-    if (!r.at_end()) throw serde::DecodeError("trailing bytes in log record");
-    // The order index must mirror the store record-for-record — including
-    // covered records whose segment has not been reclaimed yet — or a
-    // later covered_record_index would point at the wrong segment.
-    order.emplace_back(m.wire, m.seq);
-    const auto base = base_seq_.find(m.wire);
-    if (base != base_seq_.end() && m.seq < base->second)
-      return;  // covered by the restored checkpoint
-    entries[m.wire].push_back(std::move(m));
-  });
-  // Batched appends from one writer may interleave with single appends
-  // from another across wires; per wire the seq order is authoritative.
-  for (auto& [wire, list] : entries)
-    std::sort(list.begin(), list.end(),
-              [](const Message& a, const Message& b) { return a.seq < b.seq; });
+  assert(order_.empty());  // so undoing a failed load empties the log
+  try {
+    store.read_from(from, [&](std::span<const std::byte> record) {
+      // Decoded whole to validate it; only the bytes are kept.
+      serde::Reader r(record.data(), record.size());
+      const Message m = Message::decode(r);
+      if (!r.at_end()) throw serde::DecodeError("trailing bytes in log record");
+      WireLog& w = wires_[m.wire];
+      // The order index must mirror the store record-for-record —
+      // including covered records whose segment has not been reclaimed yet
+      // — or a later covered_record_index would point at the wrong segment.
+      order_.push_back(m.wire);
+      if (m.seq < w.base_seq) {  // covered by the restored checkpoint
+        if (w.covered.empty() ||
+            m.seq != w.covered.back().first + w.covered.back().count)
+          w.covered.push_back({m.seq, 0});
+        ++w.covered.back().count;
+        return;
+      }
+      if (!w.records.empty() && m.seq != w.records.end_seq())
+        throw serde::DecodeError("log record out of sequence on its wire");
+      w.records.append_encoded(record, m.seq);
+    });
+  } catch (...) {
+    for (auto& [wire, w] : wires_) {
+      w.records.clear();
+      w.covered.clear();
+    }
+    order_.clear();
+    throw;
+  }
   order_base_ = from;
-  order_ = std::move(order);
-  entries_ = std::move(entries);
 }
 
 void ExternalMessageLog::set_base(WireId wire, std::uint64_t next_seq,
                                   VirtualTime last_vt) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  base_seq_[wire] = next_seq;
-  base_vt_[wire] = last_vt;
+  WireLog& w = wires_[wire];
+  w.has_base = true;
+  w.base_seq = next_seq;
+  w.base_vt = last_vt;
 }
 
 std::vector<Message> ExternalMessageLog::replay_after(
     WireId wire, VirtualTime after) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   std::vector<Message> out;
-  const auto it = entries_.find(wire);
-  if (it == entries_.end()) return out;
-  for (const Message& m : it->second)
-    if (m.vt > after) out.push_back(m);
+  const auto it = wires_.find(wire);
+  if (it == wires_.end()) return out;
+  const PackedMessages& records = it->second.records;
+  records.read(records.first_after(after), SIZE_MAX, out);
   return out;
 }
 
@@ -122,109 +121,127 @@ std::size_t ExternalMessageLog::read_from_seq(WireId wire,
                                               std::vector<Message>& out) const {
   out.clear();
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(wire);
-  if (it == entries_.end()) return 0;
-  const auto& list = it->second;
-  const auto first = std::lower_bound(
-      list.begin(), list.end(), from_seq,
-      [](const Message& m, std::uint64_t s) { return m.seq < s; });
-  const std::size_t n =
-      std::min(max, static_cast<std::size_t>(list.end() - first));
-  out.assign(first, first + static_cast<std::ptrdiff_t>(n));
-  return n;
+  const auto it = wires_.find(wire);
+  if (it == wires_.end()) return 0;
+  return it->second.records.read(from_seq, max, out);
 }
 
 std::uint64_t ExternalMessageLog::size(WireId wire) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(wire);
-  return it == entries_.end() ? 0 : it->second.size();
+  const auto it = wires_.find(wire);
+  return it == wires_.end() ? 0 : it->second.records.size();
 }
 
 std::uint64_t ExternalMessageLog::total_size() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   std::uint64_t n = 0;
-  for (const auto& [w, list] : entries_) n += list.size();
+  for (const auto& [wire, w] : wires_) n += w.records.size();
   return n;
 }
 
 VirtualTime ExternalMessageLog::last_vt(WireId wire) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(wire);
-  if (it != entries_.end() && !it->second.empty()) return it->second.back().vt;
-  const auto base = base_vt_.find(wire);
-  return base == base_vt_.end() ? VirtualTime(-1) : base->second;
+  const auto it = wires_.find(wire);
+  if (it == wires_.end()) return VirtualTime(-1);
+  const PackedMessages& records = it->second.records;
+  if (!records.empty()) return records.header(records.end_seq() - 1).vt;
+  return it->second.base_vt;
 }
 
 std::uint64_t ExternalMessageLog::next_seq(WireId wire) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(wire);
-  if (it != entries_.end() && !it->second.empty())
-    return it->second.back().seq + 1;
-  const auto base = base_seq_.find(wire);
-  return base == base_seq_.end() ? 0 : base->second;
+  const auto it = wires_.find(wire);
+  if (it == wires_.end()) return 0;
+  const PackedMessages& records = it->second.records;
+  return records.empty() ? it->second.base_seq : records.end_seq();
 }
 
 VirtualTime ExternalMessageLog::vt_below(WireId wire,
                                          std::uint64_t seq) const {
   if (seq == 0) return VirtualTime(-1);
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(wire);
-  if (it != entries_.end()) {
-    const auto& list = it->second;
-    const auto pos = std::lower_bound(
-        list.begin(), list.end(), seq - 1,
-        [](const Message& m, std::uint64_t s) { return m.seq < s; });
-    if (pos != list.end() && pos->seq == seq - 1) return pos->vt;
+  const auto it = wires_.find(wire);
+  if (it == wires_.end()) return VirtualTime(-1);
+  const PackedMessages& records = it->second.records;
+  if (seq - 1 >= records.first_seq() && seq - 1 < records.end_seq())
+    return records.header(seq - 1).vt;
+  return it->second.base_vt;
+}
+
+std::uint64_t ExternalMessageLog::walk_covered_locked(
+    const std::map<WireId, std::uint64_t>& covered,
+    std::map<WireId, WalkPos>& walk) const {
+  for (const auto& [wire, bound] : covered) walk[wire].bound = bound;
+  std::uint64_t walked = 0;
+  for (const WireId wire : order_) {
+    const auto it = walk.find(wire);
+    if (it == walk.end()) break;
+    WalkPos& pos = it->second;
+    const WireLog& w = wires_.at(wire);
+    const bool in_covered = pos.runs < w.covered.size();
+    const std::uint64_t seq =
+        in_covered ? w.covered[pos.runs].first + pos.in_run
+                   : w.records.first_seq() + pos.retained;
+    if (seq >= pos.bound) break;
+    if (!in_covered) {
+      ++pos.retained;
+    } else if (++pos.in_run == w.covered[pos.runs].count) {
+      ++pos.runs;
+      pos.in_run = 0;
+    }
+    ++walked;
   }
-  const auto base = base_vt_.find(wire);
-  return base == base_vt_.end() ? VirtualTime(-1) : base->second;
+  return walked;
 }
 
 std::uint64_t ExternalMessageLog::covered_record_index(
     const std::map<WireId, std::uint64_t>& covered) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::uint64_t index = order_base_;
-  for (const auto& [wire, seq] : order_) {
-    const auto bound = covered.find(wire);
-    if (bound == covered.end() || seq >= bound->second) break;
-    ++index;
-  }
-  return index;
+  std::map<WireId, WalkPos> walk;
+  return order_base_ + walk_covered_locked(covered, walk);
 }
 
 std::uint64_t ExternalMessageLog::truncate_covered(
     const std::map<WireId, std::uint64_t>& covered) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::map<WireId, std::uint64_t> drop;  // wire -> entries to erase
-  while (!order_.empty()) {
-    const auto& [wire, seq] = order_.front();
-    const auto bound = covered.find(wire);
-    if (bound == covered.end() || seq >= bound->second) break;
-    auto& base = base_seq_[wire];
-    if (seq >= base) {
-      base = seq + 1;
-      ++drop[wire];
+  std::map<WireId, WalkPos> walk;
+  const std::uint64_t n = walk_covered_locked(covered, walk);
+  for (const auto& [wire, pos] : walk) {
+    const auto it = wires_.find(wire);
+    if (it == wires_.end()) continue;
+    WireLog& w = it->second;
+    w.covered.erase(w.covered.begin(),
+                    w.covered.begin() + static_cast<std::ptrdiff_t>(pos.runs));
+    if (pos.in_run > 0) {
+      w.covered.front().first += pos.in_run;
+      w.covered.front().count -= pos.in_run;
     }
-    order_.pop_front();
-    ++order_base_;
-    ++truncated_;
-  }
-  for (const auto& [wire, count] : drop) {
-    auto& list = entries_[wire];
-    const std::size_t n = std::min<std::size_t>(count, list.size());
-    if (n > 0) {
-      base_vt_[wire] = max(base_vt_.try_emplace(wire, VirtualTime(-1))
-                               .first->second,
-                           list[n - 1].vt);
-      list.erase(list.begin(), list.begin() + static_cast<std::ptrdiff_t>(n));
+    if (pos.retained > 0) {
+      // Retained seqs are never below the base: each dropped one moves it.
+      const std::uint64_t last = w.records.first_seq() + pos.retained - 1;
+      w.has_base = true;
+      w.base_seq = last + 1;
+      w.base_vt = max(w.base_vt, w.records.header(last).vt);
+      w.records.pop_front(pos.retained);
     }
   }
+  order_.erase(order_.begin(), order_.begin() + static_cast<std::ptrdiff_t>(n));
+  order_base_ += n;
+  truncated_ += n;
   return order_base_;
 }
 
 std::uint64_t ExternalMessageLog::truncated_messages() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return truncated_;
+}
+
+std::uint64_t ExternalMessageLog::memory_bytes() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  std::uint64_t n = order_.size() * sizeof(WireId);
+  for (const auto& [wire, w] : wires_)
+    n += w.records.memory_bytes() + w.covered.size() * sizeof(SeqRun);
+  return n;
 }
 
 }  // namespace tart::log

@@ -20,18 +20,24 @@
 // numbers into a store record index safe to truncate below. A restart
 // reads back only the records from the checkpoint's covered index on
 // (load); the covered prefix is never read.
+//
+// In memory each wire's retained records are their Message::encode bytes
+// (PackedMessages); with a store attached, the same bytes are what gets
+// framed to disk, so a record is encoded once. Reads decode on the way out.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/ids.h"
 #include "common/virtual_time.h"
 #include "wire/message.h"
+#include "wire/packed_messages.h"
 
 namespace tart::log {
 
@@ -109,31 +115,70 @@ class ExternalMessageLog {
 
   [[nodiscard]] std::uint64_t truncated_messages() const;
 
+  /// Bytes the log holds in memory: every wire's packed records plus the
+  /// global order index (tart_log_memory_bytes).
+  [[nodiscard]] std::uint64_t memory_bytes() const;
+
   /// Write-through persistence: every subsequent append is also framed
   /// into `store` before the call returns (stable-storage durability).
   void attach_store(SegmentedStore* store);
 
-  /// The restart load: decodes the records of `store` from global index
+  /// The restart load: copies the records of `store` from global index
   /// max(`covered_index`, store.first_retained_index()) on — the restored
-  /// checkpoint's covered_record_index, 0 without one — straight into the
-  /// log, so each suffix record is read, checksummed and decoded once.
-  /// Records past that index but below their wire's base (set_base) are
+  /// checkpoint's covered_record_index, 0 without one — into the log, each
+  /// read and checksummed once and decoded once to validate it. Records
+  /// past that index but below their wire's base (set_base) are
   /// index-tracked but not retained. Call on an empty log before attaching
   /// a store. All or nothing: throws serde::DecodeError when a record does
-  /// not decode as one Message, or CorruptSegmentError when the store lost
-  /// records, and leaves the log unchanged.
+  /// not decode as one Message or does not continue its wire's seqs, or
+  /// CorruptSegmentError when the store lost records, and leaves the log
+  /// unchanged.
   void load(const SegmentedStore& store, std::uint64_t covered_index);
 
  private:
-  void append_locked(const Message& message);
+  /// Consecutive seqs [first, first + count) on one wire.
+  struct SeqRun {
+    std::uint64_t first = 0;
+    std::uint64_t count = 0;
+  };
+
+  struct WireLog {
+    /// Retained records; seq implicit (consecutive per wire).
+    PackedMessages records;
+    /// Compaction base: first seq still retained (set_base or the last
+    /// truncation) and the vt of the message just below it.
+    bool has_base = false;
+    std::uint64_t base_seq = 0;
+    VirtualTime base_vt = VirtualTime(-1);
+    /// Records a load found below the base: still in the store (so in
+    /// order_, ahead of every retained record of this wire) but not
+    /// retained. Their seqs, as runs.
+    std::deque<SeqRun> covered;
+  };
+
+  /// How far a walk of order_ got on one wire: through `runs` whole
+  /// covered runs plus `in_run` of the next, then `retained` records.
+  struct WalkPos {
+    std::uint64_t bound = 0;
+    std::size_t runs = 0;
+    std::uint64_t in_run = 0;
+    std::uint64_t retained = 0;
+  };
+
+  std::span<const std::byte> append_locked(const Message& message);
+  /// Walks order_ from its front while each record is covered by
+  /// `covered` (see covered_record_index); returns the records walked and
+  /// leaves each wire's position in `walk`.
+  std::uint64_t walk_covered_locked(
+      const std::map<WireId, std::uint64_t>& covered,
+      std::map<WireId, WalkPos>& walk) const;
 
   mutable std::mutex mutex_;
-  std::map<WireId, std::vector<Message>> entries_;
-  std::map<WireId, std::uint64_t> base_seq_;
-  std::map<WireId, VirtualTime> base_vt_;
-  /// (wire, seq) of every record still backed by the store, in global
-  /// append order; front has index order_base_.
-  std::deque<std::pair<WireId, std::uint64_t>> order_;
+  std::map<WireId, WireLog> wires_;
+  /// Wire of every record still backed by the store, in global append
+  /// order; front has index order_base_. A record's seq follows from its
+  /// place among its wire's entries (covered runs, then retained).
+  std::deque<WireId> order_;
   std::uint64_t order_base_ = 0;
   std::uint64_t truncated_ = 0;
   SegmentedStore* store_ = nullptr;

@@ -14,7 +14,7 @@ namespace tart::log {
 
 namespace {
 
-std::uint64_t framed_size(std::span<const std::vector<std::byte>> records) {
+std::uint64_t framed_size(std::span<const std::span<const std::byte>> records) {
   std::uint64_t n = 0;
   for (const auto& r : records) n += kFrameHeaderBytes + r.size();
   return n;
@@ -125,12 +125,12 @@ void SegmentedStore::rotate_locked() {
   open_active_locked(next);
 }
 
-bool SegmentedStore::append(const std::vector<std::byte>& record) {
+bool SegmentedStore::append(std::span<const std::byte> record) {
   return append_batch({&record, 1});
 }
 
 bool SegmentedStore::append_batch(
-    std::span<const std::vector<std::byte>> records) {
+    std::span<const std::span<const std::byte>> records) {
   if (records.empty()) return true;
   const std::lock_guard<std::mutex> lk(mu_);
   // Rotation happens between batches only: one batch = one durability

@@ -61,8 +61,8 @@ class SegmentedStore {
   SegmentedStore(std::string dir, std::string base, Options options);
   SegmentedStore(std::string dir, std::string base);
 
-  bool append(const std::vector<std::byte>& record);
-  bool append_batch(std::span<const std::vector<std::byte>> records);
+  bool append(std::span<const std::byte> record);
+  bool append_batch(std::span<const std::span<const std::byte>> records);
   [[nodiscard]] std::uint64_t records_written() const;
   [[nodiscard]] std::uint64_t flushes() const;
 

@@ -14,7 +14,7 @@ namespace tart::log {
 namespace {
 constexpr std::uint32_t kMagic = 0x54A27106;  // frame marker
 
-void frame_record(serde::Writer& out, const std::vector<std::byte>& record) {
+void frame_record(serde::Writer& out, std::span<const std::byte> record) {
   out.write_u32(kMagic);
   out.write_u32(static_cast<std::uint32_t>(record.size()));
   out.write_u64(serde::fingerprint(record));
@@ -45,12 +45,12 @@ FileStableStore::~FileStableStore() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-bool FileStableStore::append(const std::vector<std::byte>& record) {
+bool FileStableStore::append(std::span<const std::byte> record) {
   return append_batch({&record, 1});
 }
 
 bool FileStableStore::append_batch(
-    std::span<const std::vector<std::byte>> records) {
+    std::span<const std::span<const std::byte>> records) {
   if (fd_ < 0) return false;
   if (records.empty()) return true;
   serde::Writer buf;

@@ -41,14 +41,14 @@ class FileStableStore {
 
   /// Appends one record durably (framed + checksummed + fsynced). Returns
   /// false on I/O failure.
-  bool append(const std::vector<std::byte>& record);
+  bool append(std::span<const std::byte> record);
 
   /// Appends N records with ONE write and ONE fsync: the records become
   /// durable together, for the cost of a single flush. Returns false on
   /// I/O failure (no record of the batch should then be trusted durable,
   /// though an intact prefix may still survive a scan). An empty batch is
   /// a no-op that succeeds without flushing.
-  bool append_batch(std::span<const std::vector<std::byte>> records);
+  bool append_batch(std::span<const std::span<const std::byte>> records);
 
   [[nodiscard]] const std::string& path() const { return path_; }
   [[nodiscard]] std::uint64_t records_written() const {

@@ -330,6 +330,7 @@ void NetHost::gauge_sweep() {
               "Bytes the segmented external log occupies on disk.")
         .set(static_cast<std::int64_t>(seg->bytes_on_disk()));
   }
+  runtime_->harvest_memory_gauges();
   // Fold the hot-path profiler's thread-local accumulators into tart_prof_*
   // cells: they ship in GET /obs and render in /metrics like any other
   // sample.

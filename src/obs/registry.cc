@@ -129,9 +129,24 @@ Labels canonical(Labels labels) {
 
 Registry::Cell* Registry::find_locked(const std::string& name,
                                       const Labels& labels) {
-  for (const auto& cell : cells_)
-    if (cell->name == name && cell->labels == labels) return cell.get();
+  const auto it = families_.find(name);
+  if (it == families_.end()) return nullptr;
+  for (Cell* cell = it->second; cell != nullptr; cell = cell->next_in_family)
+    if (cell->labels == labels) return cell;
   return nullptr;
+}
+
+Registry::Cell& Registry::insert_locked(std::unique_ptr<Cell> cell) {
+  Cell& out = *cell;
+  // Newest first: the family's head is re-pointed, its name view still
+  // refers to a live cell (cells are never removed).
+  auto [it, fresh] = families_.try_emplace(out.name, &out);
+  if (!fresh) {
+    out.next_in_family = it->second;
+    it->second = &out;
+  }
+  cells_.push_back(std::move(cell));
+  return out;
 }
 
 Counter& Registry::counter(const std::string& name, const std::string& help,
@@ -151,9 +166,7 @@ Counter& Registry::counter(const std::string& name, const std::string& help,
   cell->scale = scale;
   cell->labels = std::move(canon);
   cell->counter = std::make_unique<Counter>();
-  Counter& out = *cell->counter;
-  cells_.push_back(std::move(cell));
-  return out;
+  return *insert_locked(std::move(cell)).counter;
 }
 
 Gauge& Registry::gauge(const std::string& name, const std::string& help,
@@ -172,9 +185,7 @@ Gauge& Registry::gauge(const std::string& name, const std::string& help,
   cell->kind = Kind::kGauge;
   cell->labels = std::move(canon);
   cell->gauge = std::make_unique<Gauge>();
-  Gauge& out = *cell->gauge;
-  cells_.push_back(std::move(cell));
-  return out;
+  return *insert_locked(std::move(cell)).gauge;
 }
 
 Histogram& Registry::histogram(const std::string& name,
@@ -194,9 +205,7 @@ Histogram& Registry::histogram(const std::string& name,
   cell->kind = Kind::kHistogram;
   cell->labels = std::move(canon);
   cell->hist = std::make_unique<Histogram>(width, num_buckets);
-  Histogram& out = *cell->hist;
-  cells_.push_back(std::move(cell));
-  return out;
+  return *insert_locked(std::move(cell)).hist;
 }
 
 std::vector<Sample> Registry::samples() const {

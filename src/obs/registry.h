@@ -30,6 +30,8 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -228,14 +230,23 @@ class Registry {
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> hist;
+    /// Next cell registered under the same name (the family's chain).
+    Cell* next_in_family = nullptr;
   };
 
   [[nodiscard]] Cell* find_locked(const std::string& name,
                                   const Labels& labels);
+  /// Adds a new cell and returns it.
+  Cell& insert_locked(std::unique_ptr<Cell> cell);
 
   mutable std::mutex mu_;
   /// unique_ptr cells: handle addresses stay stable across vector growth.
   std::vector<std::unique_ptr<Cell>> cells_;
+  /// First cell of each name (keyed by a view of its own name); the rest
+  /// of the family hangs off Cell::next_in_family. Registration hashes the
+  /// name and scans only that family's label sets, so building a runtime
+  /// with many components is not quadratic in its cell count.
+  std::unordered_map<std::string_view, Cell*> families_;
 };
 
 /// Serde for a sample set (part of the GET /obs report). Deterministic byte

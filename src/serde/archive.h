@@ -32,16 +32,56 @@ class DecodeError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Append-only encoder.
+/// Longest varint: 64 bits at 7 per byte.
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
+// Field encoders over a raw cursor: each writes one field at `p` and
+// advances it. Writer's methods append one field each through them; an
+// encoder with a fixed run of fields (Message::encode) can fill a stack
+// buffer with them and append it in one step. Little-endian fixed width,
+// LEB128 varints, zig-zag signed varints.
+inline void put_u8(std::byte*& p, std::uint8_t v) { *p++ = std::byte{v}; }
+
+inline void put_u32(std::byte*& p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) *p++ = static_cast<std::byte>(v >> (8 * i));
+}
+
+inline void put_u64(std::byte*& p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) *p++ = static_cast<std::byte>(v >> (8 * i));
+}
+
+inline void put_varint(std::byte*& p, std::uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<std::byte>(static_cast<std::uint8_t>(v) | 0x80);
+    v >>= 7;
+  }
+  *p++ = static_cast<std::byte>(v);
+}
+
+inline void put_svarint(std::byte*& p, std::int64_t v) {
+  put_varint(p, (static_cast<std::uint64_t>(v) << 1) ^
+                    static_cast<std::uint64_t>(v >> 63));
+}
+
+/// Append-only encoder. Encodes into its own buffer, or into one the
+/// caller owns (see the second constructor).
 class Writer {
  public:
   Writer() = default;
+  /// Appends to `out`, which the caller owns: a caller that clears and
+  /// reuses one buffer keeps its capacity, so a stream of records encodes
+  /// with no allocation once it has grown. Not an archive allocation for
+  /// the profiler (the buffer is not this writer's).
+  explicit Writer(std::vector<std::byte>& out) : buf_(&out), accounted_(true) {}
   Writer(Writer&& other) noexcept
-      : buf_(std::move(other.buf_)), accounted_(other.accounted_) {
+      : own_(std::move(other.own_)),
+        buf_(other.buf_ == &other.own_ ? &own_ : other.buf_),
+        accounted_(other.accounted_) {
     other.accounted_ = true;
   }
   Writer& operator=(Writer&& other) noexcept {
-    buf_ = std::move(other.buf_);
+    own_ = std::move(other.own_);
+    buf_ = other.buf_ == &other.own_ ? &own_ : other.buf_;
     accounted_ = other.accounted_;
     other.accounted_ = true;
     return *this;
@@ -51,30 +91,39 @@ class Writer {
   // encoders themselves stay branch-free.
   ~Writer() { account(); }
 
-  void write_u8(std::uint8_t v) { buf_.push_back(std::byte{v}); }
+  void write_u8(std::uint8_t v) { buf_->push_back(std::byte{v}); }
 
+  // Fixed-width and varint fields are assembled on the stack and appended
+  // in one step, not byte by byte.
   void write_u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) write_u8(static_cast<std::uint8_t>(v >> (8 * i)));
+    std::byte b[4];
+    std::byte* p = b;
+    put_u32(p, v);
+    write_raw(b, sizeof b);
   }
 
   void write_u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) write_u8(static_cast<std::uint8_t>(v >> (8 * i)));
+    std::byte b[8];
+    std::byte* p = b;
+    put_u64(p, v);
+    write_raw(b, sizeof b);
   }
 
   /// LEB128-style varint; compact for the small counts that dominate
   /// checkpoint payloads.
   void write_varint(std::uint64_t v) {
-    while (v >= 0x80) {
-      write_u8(static_cast<std::uint8_t>(v) | 0x80);
-      v >>= 7;
-    }
-    write_u8(static_cast<std::uint8_t>(v));
+    std::byte b[kMaxVarintBytes];
+    std::byte* p = b;
+    put_varint(p, v);
+    write_raw(b, static_cast<std::size_t>(p - b));
   }
 
   /// Zig-zag signed varint.
   void write_svarint(std::int64_t v) {
-    write_varint((static_cast<std::uint64_t>(v) << 1) ^
-                 static_cast<std::uint64_t>(v >> 63));
+    std::byte b[kMaxVarintBytes];
+    std::byte* p = b;
+    put_svarint(p, v);
+    write_raw(b, static_cast<std::size_t>(p - b));
   }
 
   void write_bool(bool v) { write_u8(v ? 1 : 0); }
@@ -88,38 +137,38 @@ class Writer {
 
   void write_string(std::string_view s) {
     write_varint(s.size());
-    const auto* data = reinterpret_cast<const std::byte*>(s.data());
-    buf_.insert(buf_.end(), data, data + s.size());
+    write_raw(reinterpret_cast<const std::byte*>(s.data()), s.size());
   }
 
   void write_bytes(const std::vector<std::byte>& bytes) {
     write_varint(bytes.size());
-    buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+    write_raw(bytes.data(), bytes.size());
   }
 
   /// Appends raw bytes with no length prefix (caller-framed data).
   void write_raw(const std::byte* data, std::size_t size) {
-    buf_.insert(buf_.end(), data, data + size);
+    buf_->insert(buf_->end(), data, data + size);
   }
 
   void write_vt(VirtualTime t) { write_svarint(t.ticks()); }
 
-  [[nodiscard]] const std::vector<std::byte>& bytes() const { return buf_; }
+  [[nodiscard]] const std::vector<std::byte>& bytes() const { return *buf_; }
   [[nodiscard]] std::vector<std::byte> take() {
     account();
     accounted_ = false;  // a reused writer accounts its next buffer too
-    return std::move(buf_);
+    return std::move(*buf_);
   }
-  [[nodiscard]] std::size_t size() const { return buf_.size(); }
+  [[nodiscard]] std::size_t size() const { return buf_->size(); }
 
  private:
   void account() {
-    if (accounted_ || buf_.empty()) return;
+    if (accounted_ || buf_->empty()) return;
     accounted_ = true;
-    TART_PROF_BYTES("serde.archive", buf_.size());
+    TART_PROF_BYTES("serde.archive", buf_->size());
   }
 
-  std::vector<std::byte> buf_;
+  std::vector<std::byte> own_;
+  std::vector<std::byte>* buf_ = &own_;
   bool accounted_ = false;
 };
 
@@ -136,27 +185,35 @@ class Reader {
   }
 
   [[nodiscard]] std::uint32_t read_u32() {
+    require(4);
     std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{read_u8()} << (8 * i);
+    for (int i = 0; i < 4; ++i)
+      v |= std::uint32_t{static_cast<std::uint8_t>(data_[pos_ + i])} << (8 * i);
+    pos_ += 4;
     return v;
   }
 
   [[nodiscard]] std::uint64_t read_u64() {
+    require(8);
     std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{read_u8()} << (8 * i);
+    for (int i = 0; i < 8; ++i)
+      v |= std::uint64_t{static_cast<std::uint8_t>(data_[pos_ + i])} << (8 * i);
+    pos_ += 8;
     return v;
   }
 
   [[nodiscard]] std::uint64_t read_varint() {
+    // When a longest varint fits in what is left, its bytes need no
+    // bounds check each.
+    const bool checked = remaining() < kMaxVarintBytes;
     std::uint64_t v = 0;
-    int shift = 0;
-    for (;;) {
-      if (shift >= 64) throw DecodeError("varint too long");
-      const std::uint8_t b = read_u8();
+    for (int shift = 0; shift < 64; shift += 7) {
+      const std::uint8_t b =
+          checked ? read_u8() : static_cast<std::uint8_t>(data_[pos_++]);
       v |= std::uint64_t{static_cast<std::uint8_t>(b & 0x7F)} << shift;
       if (!(b & 0x80)) return v;
-      shift += 7;
     }
+    throw DecodeError("varint too long");
   }
 
   [[nodiscard]] std::int64_t read_svarint() {

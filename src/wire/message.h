@@ -54,18 +54,32 @@ struct Message {
   [[nodiscard]] bool has_origin() const { return origin_wire.is_valid(); }
 
   void encode(serde::Writer& w) const {
-    w.write_u32(wire.value());
-    w.write_vt(vt);
-    w.write_varint(seq);
-    w.write_u8(static_cast<std::uint8_t>(kind));
-    w.write_varint(call_id);
-    w.write_u32(origin_wire.value());
-    w.write_varint(origin_seq);
-    w.write_u64(static_cast<std::uint64_t>(origin_wall_ns));
+    // The fields before the payload are assembled on the stack and
+    // appended in one step (the same bytes as one write_* call each).
+    std::byte head[2 * 4 + 8 + 1 + 4 * serde::kMaxVarintBytes];
+    std::byte* p = head;
+    serde::put_u32(p, wire.value());
+    serde::put_svarint(p, vt.ticks());
+    serde::put_varint(p, seq);
+    serde::put_u8(p, static_cast<std::uint8_t>(kind));
+    serde::put_varint(p, call_id);
+    serde::put_u32(p, origin_wire.value());
+    serde::put_varint(p, origin_seq);
+    serde::put_u64(p, static_cast<std::uint64_t>(origin_wall_ns));
+    w.write_raw(head, static_cast<std::size_t>(p - head));
     payload.encode(w);
   }
 
   [[nodiscard]] static Message decode(serde::Reader& r) {
+    Message m = decode_header(r);
+    m.payload = Payload::decode(r);
+    return m;
+  }
+
+  /// Every field but the payload, which is left unread in `r` (and empty
+  /// in the result): lets a store of encoded messages test a vt or call id
+  /// without materialising the payload.
+  [[nodiscard]] static Message decode_header(serde::Reader& r) {
     Message m;
     m.wire = WireId(r.read_u32());
     m.vt = r.read_vt();
@@ -75,7 +89,6 @@ struct Message {
     m.origin_wire = WireId(r.read_u32());
     m.origin_seq = r.read_varint();
     m.origin_wall_ns = static_cast<std::int64_t>(r.read_u64());
-    m.payload = Payload::decode(r);
     return m;
   }
 };

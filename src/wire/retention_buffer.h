@@ -8,15 +8,18 @@
 // sender itself fails, the buffer is regenerated by the sender's own
 // deterministic re-execution — identical virtual times guarantee identical
 // retained content.
+//
+// Messages are held as their encodings (PackedMessages): recording one
+// encodes it into a block, and every read decodes on the way out.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
 #include "common/virtual_time.h"
 #include "wire/message.h"
+#include "wire/packed_messages.h"
 
 namespace tart {
 
@@ -49,8 +52,14 @@ class RetentionBuffer {
   std::size_t read_from_seq(std::uint64_t from_seq, std::size_t max,
                             std::vector<Message>& out) const;
 
+  /// Retained messages. Like memory_bytes(), safe to read from any
+  /// thread while the owner records and trims.
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
   [[nodiscard]] bool empty() const { return buf_.empty(); }
+  /// Bytes the retained messages occupy (tart_retention_memory_bytes).
+  [[nodiscard]] std::size_t memory_bytes() const {
+    return buf_.memory_bytes();
+  }
 
   /// Highest sent vt, if anything was ever recorded (survives trimming).
   [[nodiscard]] std::optional<VirtualTime> last_sent_vt() const {
@@ -63,7 +72,7 @@ class RetentionBuffer {
 
   /// Reinstalls checkpointed contents: `messages` in order, with the send
   /// counter continuing from `next_seq`.
-  void restore(std::vector<Message> messages, std::uint64_t next_seq);
+  void restore(const std::vector<Message>& messages, std::uint64_t next_seq);
 
   /// Retained message with the given call correlation id, if still held
   /// (serves reply re-sends for duplicate calls after a caller failover).
@@ -74,7 +83,7 @@ class RetentionBuffer {
   [[nodiscard]] std::vector<Message> contents() const;
 
  private:
-  std::deque<Message> buf_;
+  PackedMessages buf_;
   std::optional<VirtualTime> last_vt_;
   std::uint64_t next_seq_ = 0;
 };

@@ -1108,7 +1108,7 @@ class DiskFuzzTest : public DurabilityTest {
     const std::string dir = (dir_ / "log").string();
     std::filesystem::remove_all(dir);
     log::SegmentedStore store(dir, "messages");
-    ASSERT_TRUE(store.append_batch(records));
+    ASSERT_TRUE(store.append_batch(tart::testing::spans(records)));
     log.load(store, 0);
   }
 
@@ -1213,6 +1213,44 @@ TEST_F(DiskFuzzTest, LogRecordMutationsLoadOrFailTyped) {
   }
   EXPECT_GT(loaded, 0);
   EXPECT_LT(loaded, kMutationRounds);
+}
+
+// The log keeps records as their bytes and decodes them at replay: load
+// must still decode every one, so a framed record whose checksum holds but
+// whose body does not decode refuses the whole load (records already
+// copied in are dropped again), and a load that succeeds replays every
+// record as it was written.
+TEST_F(DiskFuzzTest, UndecodableRecordFailsLoadAndValidRecordsDecodeAtReplay) {
+  const std::vector<Bytes> records = sample_records();
+  std::vector<Bytes> damaged = records;
+  // Record 4 gets a payload tag no decoder knows: the byte after its
+  // header.
+  {
+    serde::Reader r(damaged[4].data(), damaged[4].size());
+    (void)Message::decode_header(r);
+    damaged[4][damaged[4].size() - r.remaining()] = std::byte{0xEE};
+  }
+  {
+    log::ExternalMessageLog log;
+    EXPECT_THROW(load_through_store(log, damaged), serde::DecodeError);
+    EXPECT_EQ(log.total_size(), 0u);
+    EXPECT_EQ(log.next_seq(WireId(0)), 0u);
+    EXPECT_EQ(log.next_seq(WireId(1)), 0u);
+    EXPECT_EQ(log.memory_bytes(), 0u);
+  }
+  log::ExternalMessageLog log;
+  load_through_store(log, records);
+  std::map<WireId, std::vector<Bytes>> want;
+  for (const Bytes& record : records) {
+    serde::Reader r(record.data(), record.size());
+    want[Message::decode(r).wire].push_back(record);
+  }
+  for (const auto& [wire, bytes_of] : want) {
+    const auto replay = log.replay_from_seq(wire, 0);
+    ASSERT_EQ(replay.size(), bytes_of.size());
+    for (std::size_t i = 0; i < replay.size(); ++i)
+      EXPECT_EQ(encode(replay[i]), bytes_of[i]) << "wire " << wire << " #" << i;
+  }
 }
 
 TEST_F(DiskFuzzTest, FaultRecordsDecodeOrFailTyped) {

@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -16,6 +17,12 @@ namespace tart::testing {
 using Bytes = std::vector<std::byte>;
 
 inline constexpr int kMutationRounds = 2000;
+
+/// A batch as the stable stores' append_batch takes it: views of records.
+inline std::vector<std::span<const std::byte>> spans(
+    const std::vector<Bytes>& records) {
+  return {records.begin(), records.end()};
+}
 
 /// Overwrites 1-4 random bytes with random values; one round in four also
 /// splices in a maximal varint (up to 2^64-1), so length and count prefixes

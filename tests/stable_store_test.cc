@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
 
 #include "log/fault_log.h"
 #include "log/message_log.h"
@@ -39,6 +40,12 @@ std::vector<std::byte> bytes(std::initializer_list<int> values) {
   return out;
 }
 
+/// A batch as append_batch takes it: views of the records.
+std::vector<std::span<const std::byte>> spans(
+    const std::vector<std::vector<std::byte>>& records) {
+  return {records.begin(), records.end()};
+}
+
 TEST_F(StableStoreTest, AppendScanRoundTrip) {
   const std::string p = path("log");
   {
@@ -61,7 +68,7 @@ TEST_F(StableStoreTest, AppendBatchRoundTripWithOneFlush) {
     FileStableStore store(p);
     const std::vector<std::vector<std::byte>> batch = {
         bytes({1, 2}), bytes({}), bytes({3, 4, 5})};
-    EXPECT_TRUE(store.append_batch(batch));
+    EXPECT_TRUE(store.append_batch(spans(batch)));
     EXPECT_EQ(store.records_written(), 3u);
     // The whole batch became durable at ONE flush — the group commit.
     EXPECT_EQ(store.flushes(), 1u);
@@ -89,7 +96,7 @@ TEST_F(StableStoreTest, TornBatchedWriteRecoversIntactPrefix) {
     FileStableStore store(p);
     const std::vector<std::vector<std::byte>> batch = {
         bytes({1, 1}), bytes({2, 2}), bytes({3, 3})};
-    ASSERT_TRUE(store.append_batch(batch));
+    ASSERT_TRUE(store.append_batch(spans(batch)));
   }
   // Crash mid-batch: the tail of the single batched write never hit disk.
   // The intact per-record frames before the tear must still scan.
@@ -106,7 +113,7 @@ TEST_F(StableStoreTest, TornBatchHeaderDropsOnlyTornRecord) {
   {
     FileStableStore store(p);
     ASSERT_TRUE(store.append_batch(
-        std::vector<std::vector<std::byte>>{bytes({5, 5, 5}), bytes({6})}));
+        spans({bytes({5, 5, 5}), bytes({6})})));
   }
   // Tear inside the second record's frame HEADER (frame = 16-byte header
   // + payload: file is 16+3 + 16+1; chop 9 bytes to land mid-header).

@@ -18,11 +18,12 @@ cmake -B build -S . >/dev/null
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
-# Flake gate: the process, trace-determinism and runner hand-off tests
-# (forked nodes, SIGKILL, timing-sensitive replay, handlers held mid-run)
-# must pass ten times in a row.
-echo "== flake gate: process + trace-determinism + hand-off tests x10 =="
-ctest --test-dir build -R 'ProcessTest|TraceDeterminism|HandoffTest' \
+# Flake gate: the process, trace-determinism, runner hand-off and tiered
+# restart tests (forked nodes, SIGKILL, timing-sensitive replay, handlers
+# held mid-run, replay runs acted on mid-drain) must pass ten times in a
+# row.
+echo "== flake gate: process + trace-determinism + hand-off + restart x10 =="
+ctest --test-dir build -R 'ProcessTest|TraceDeterminism|HandoffTest|TieredRestartTest' \
   --repeat until-fail:10 -j"$(nproc)"
 
 # Perf gate: build perfbench and run every workload (chain-hop,

@@ -191,6 +191,12 @@ void Engine::deliver_batch_to_receiver(WireId wire, std::span<Message> batch) {
   }
 }
 
+void Engine::deliver_run_to_receiver(const MessageRun& run) {
+  const auto r = pin(topology_.wire(run.wire).to);
+  if (r == nullptr) return;  // crashed: the machine is gone, frames lost
+  r->deliver_run(run);
+}
+
 void Engine::deliver_to_sender(WireId wire, const transport::Frame& frame) {
   const auto& spec = topology_.wire(wire);
   const auto r = pin(spec.from);

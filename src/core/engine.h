@@ -97,6 +97,8 @@ class Engine {
   /// Delivers a run of data messages on `wire` to its receiving runner,
   /// pinned once; a data frame is delivered as a batch of one.
   void deliver_batch_to_receiver(WireId wire, std::span<Message> batch);
+  /// Hands a log-backed replay run to the runner receiving `run.wire`.
+  void deliver_run_to_receiver(const MessageRun& run);
   void deliver_to_sender(WireId wire, const transport::Frame& frame);
 
   [[nodiscard]] std::shared_ptr<ComponentRunner> runner(

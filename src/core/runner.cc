@@ -314,6 +314,47 @@ void ComponentRunner::deliver_data(WireId wire, std::span<Message> batch) {
   }
 }
 
+void ComponentRunner::deliver_run(const MessageRun& run) {
+  if (config_.mode == SchedulingMode::kArrivalOrder) {
+    // The arrival-order baseline keeps no tick accounting to defer the
+    // reads to: the run is read out now.
+    std::vector<Message> chunk;
+    std::uint64_t from = run.from_seq;
+    while (from < run.end_seq &&
+           run.source->read_from_seq(
+               run.wire, from,
+               static_cast<std::size_t>(std::min<std::uint64_t>(
+                   kHandoffBatchCap, run.end_seq - from)),
+               chunk) > 0) {
+      from = chunk.back().seq + 1;
+      deliver_data(run.wire, chunk);
+    }
+    return;
+  }
+  RunOfferResult result;
+  VirtualTime gap_after;
+  std::uint64_t gap_seq = 0;
+  {
+    const std::lock_guard<std::mutex> lk(mu_);
+    result = inbox_.offer_run(run);
+    // Its records are not compared with other arrivals one by one (they
+    // are not read yet); only its last vt moves the arrival maximum.
+    max_arrival_vt_ = max(max_arrival_vt_, run.through);
+    metrics_.duplicates_discarded.inc(result.duplicates);
+    if (result.gaps > 0) {
+      metrics_.gaps_detected.inc(result.gaps);
+      gap_after = inbox_.wire_horizon(run.wire);
+      gap_seq = inbox_.next_seq(run.wire);
+    }
+    note_queued_locked();
+  }
+  cv_.notify_all();
+  if (result.gaps > 0) {
+    router_.to_sender(run.wire, transport::ReplayRequestFrame{
+                                    run.wire, gap_after, gap_seq});
+  }
+}
+
 void ComponentRunner::deliver_silence(WireId wire, VirtualTime through,
                                       std::uint64_t expected_seq) {
   bool gap = false;

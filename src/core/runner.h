@@ -125,8 +125,9 @@ class ComponentRunner {
   /// Cooperative stop; joins the thread. Safe to call twice.
   void stop();
 
-  /// Longest run of emits one output wire buffers before handing it off.
-  static constexpr std::size_t kHandoffBatchCap = 64;
+  /// Longest run of emits one output wire buffers before handing it off;
+  /// also the chunk a replay is served in, and read back in from a run.
+  static constexpr std::size_t kHandoffBatchCap = Inbox::kRunChunk;
 
   // --- Frame entry points (any thread) -----------------------------------
 
@@ -134,6 +135,9 @@ class ComponentRunner {
   /// `wire`, in order; each is moved out) under one lock acquisition and
   /// wakes the scheduler once. A single data frame is a batch of one.
   void deliver_data(WireId wire, std::span<Message> batch);
+  /// A replay handed over as a run (Inbox::offer_run): accounted at once,
+  /// read back from its source as the inbox drains.
+  void deliver_run(const MessageRun& run);
   void deliver_silence(WireId wire, VirtualTime through,
                        std::uint64_t expected_seq = 0);
   void deliver_reply(Message&& m);
@@ -322,9 +326,9 @@ class ComponentRunner {
   Inbox inbox_;
   std::deque<Message> arrival_queue_;  // kArrivalOrder mode
   std::deque<ControlMsg> control_;
-  /// Input messages queued behind the current dispatch (inbox or arrival
-  /// queue); written under mu_, read lock-free by emit() as the batching
-  /// gate.
+  /// Input messages queued behind the current dispatch (inbox, unread run
+  /// records included, or arrival queue); written under mu_, read
+  /// lock-free by emit() as the batching gate.
   std::atomic<std::size_t> queued_{0};
   /// Emits buffered on any output and not yet delivered to a receiver;
   /// while nonzero the runner is not quiescent (status/exhausted).

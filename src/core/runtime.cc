@@ -161,7 +161,10 @@ void Runtime::start() {
   // already running would send live what a later request makes it send
   // again, and a probe answered before the replay would report data the
   // receiver lacks, so it would ask for the range twice. Either way the
-  // receiver discards the second copies as duplicates.
+  // receiver discards the second copies as duplicates. Serving an external
+  // log's replay decodes nothing: the receiver's inbox accounts the whole
+  // run at once and its runner thread reads the records back from the log,
+  // one chunk at a time, as it drains them.
   for (auto& [id, engine] : engines_) engine->restore();
   for (auto& [id, engine] : engines_) engine->request_replays();
   for (auto& [id, engine] : engines_) engine->serve_replays();
@@ -564,15 +567,17 @@ void Runtime::handle_external_sender_frame(WireId wire,
       seq = in.next_seq;
     }
     // "If the 'sender' is an external component ... the messages are
-    // re-sent from the log" (§II.F.4) — in hand-off-sized chunks, each
-    // copied out of the log once and moved into the receiver.
-    std::vector<Message> chunk;
-    std::uint64_t from = replay->from_seq;
-    while (message_log_.read_from_seq(wire, from,
-                                      ComponentRunner::kHandoffBatchCap,
-                                      chunk) > 0) {
-      from = chunk.back().seq + 1;
-      to_receiver_batch(wire, chunk);
+    // re-sent from the log" (§II.F.4) — as one run the receiver accounts
+    // at once and reads back from the log, a chunk at a time, as its inbox
+    // drains. An adapter exists only beside a local receiver.
+    if (replay->from_seq < seq) {
+      const EngineId dst = receiver_route(topology_.wire(wire)).second;
+      if (engine_is_local(dst)) {
+        engines_.at(dst)->deliver_run_to_receiver(
+            message_log_.run(wire, replay->from_seq, seq, through));
+      } else {  // the receiver moved away meanwhile; its new owner replays
+        remote_frames_dropped_.fetch_add(1);
+      }
     }
     to_receiver(wire,
                 transport::SilenceFrame{

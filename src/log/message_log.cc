@@ -57,10 +57,9 @@ void ExternalMessageLog::load(const SegmentedStore& store,
   assert(order_.empty());  // so undoing a failed load empties the log
   try {
     store.read_from(from, [&](std::span<const std::byte> record) {
-      // Decoded whole to validate it; only the bytes are kept.
-      serde::Reader r(record.data(), record.size());
-      const Message m = Message::decode(r);
-      if (!r.at_end()) throw serde::DecodeError("trailing bytes in log record");
+      // Checked whole, payload walked but not built; only the bytes are
+      // kept (the replay decodes them once, as its receiver drains).
+      const Message m = Message::check_encoded(record);
       WireLog& w = wires_[m.wire];
       // The order index must mirror the store record-for-record —
       // including covered records whose segment has not been reclaimed yet
@@ -124,6 +123,21 @@ std::size_t ExternalMessageLog::read_from_seq(WireId wire,
   const auto it = wires_.find(wire);
   if (it == wires_.end()) return 0;
   return it->second.records.read(from_seq, max, out);
+}
+
+MessageRun ExternalMessageLog::run(WireId wire, std::uint64_t from_seq,
+                                   std::uint64_t end_seq,
+                                   VirtualTime through) const {
+  std::uint64_t first = from_seq;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (const auto it = wires_.find(wire); it != wires_.end()) {
+      const WireLog& w = it->second;
+      first = std::max(first, w.records.empty() ? w.base_seq
+                                                : w.records.first_seq());
+    }
+  }
+  return MessageRun{this, wire, first, std::max(first, end_seq), through};
 }
 
 std::uint64_t ExternalMessageLog::size(WireId wire) const {

@@ -36,6 +36,7 @@
 
 #include "common/ids.h"
 #include "common/virtual_time.h"
+#include "wire/inbox.h"
 #include "wire/message.h"
 #include "wire/packed_messages.h"
 
@@ -43,7 +44,7 @@ namespace tart::log {
 
 class SegmentedStore;
 
-class ExternalMessageLog {
+class ExternalMessageLog final : public RunSource {
  public:
   /// Appends an external arrival. Synchronous — returns once durable (in
   /// this reproduction, once in the in-memory stable store). Entries per
@@ -70,11 +71,19 @@ class ExternalMessageLog {
 
   /// Bounded replay feed: replaces `out` with at most `max` logged
   /// messages on `wire` from seq `from_seq` on, in order (reusing its
-  /// storage), and returns how many. The restart feed loops over these
-  /// chunks, so a suffix is never materialised whole; the lock is held
-  /// only while one chunk is copied.
+  /// storage), and returns how many. An inbox holding a run of this log
+  /// reads it chunk by chunk as the run drains; the lock is held only
+  /// while one chunk is decoded.
   std::size_t read_from_seq(WireId wire, std::uint64_t from_seq,
-                            std::size_t max, std::vector<Message>& out) const;
+                            std::size_t max,
+                            std::vector<Message>& out) const override;
+
+  /// The replay of `wire` from `from_seq` up to `end_seq`, whose last
+  /// record is at vt `through`, as a run read back from this log
+  /// (Inbox::offer_run). A prefix compaction dropped is left out.
+  [[nodiscard]] MessageRun run(WireId wire, std::uint64_t from_seq,
+                               std::uint64_t end_seq,
+                               VirtualTime through) const;
 
   [[nodiscard]] std::uint64_t size(WireId wire) const;
   [[nodiscard]] std::uint64_t total_size() const;
@@ -126,7 +135,8 @@ class ExternalMessageLog {
   /// The restart load: copies the records of `store` from global index
   /// max(`covered_index`, store.first_retained_index()) on — the restored
   /// checkpoint's covered_record_index, 0 without one — into the log, each
-  /// read and checksummed once and decoded once to validate it. Records
+  /// read and checksummed once and checked once (Message::check_encoded:
+  /// no payload is built; the replay decodes it later). Records
   /// past that index but below their wire's base (set_base) are
   /// index-tracked but not retained. Call on an empty log before attaching
   /// a store. All or nothing: throws serde::DecodeError when a record does

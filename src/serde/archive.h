@@ -239,20 +239,23 @@ class Reader {
     return v;
   }
 
-  [[nodiscard]] std::string read_string() {
+  /// A length-prefixed byte field, borrowed from the buffer (no copy).
+  [[nodiscard]] std::span<const std::byte> read_view() {
     const auto n = read_varint();
     require(n);
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
+    const std::span<const std::byte> view(data_ + pos_, n);
     pos_ += n;
-    return s;
+    return view;
+  }
+
+  [[nodiscard]] std::string read_string() {
+    const auto v = read_view();
+    return {reinterpret_cast<const char*>(v.data()), v.size()};
   }
 
   [[nodiscard]] std::vector<std::byte> read_bytes() {
-    const auto n = read_varint();
-    require(n);
-    std::vector<std::byte> out(data_ + pos_, data_ + pos_ + n);
-    pos_ += n;
-    return out;
+    const auto v = read_view();
+    return {v.begin(), v.end()};
   }
 
   [[nodiscard]] VirtualTime read_vt() { return VirtualTime(read_svarint()); }

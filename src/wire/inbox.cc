@@ -1,6 +1,8 @@
 #include "wire/inbox.h"
 
+#include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "trace/recorder.h"
 
@@ -40,6 +42,21 @@ __attribute__((cold, noinline)) void Inbox::trace_gap(
                  m.seq);
 }
 
+// A rejected run records what rejecting its messages one by one would:
+// read back from the source only when tracing.
+__attribute__((cold, noinline)) void Inbox::trace_run(const MessageRun& run,
+                                                      std::uint64_t end,
+                                                      bool gap) const {
+  std::vector<Message> chunk;
+  for (std::uint64_t from = run.from_seq; from < end;) {
+    const std::size_t want = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kRunChunk, end - from));
+    if (run.source->read_from_seq(run.wire, from, want, chunk) == 0) return;
+    for (const Message& m : chunk) gap ? trace_gap(m) : trace_discard(m);
+    from = chunk.back().seq + 1;
+  }
+}
+
 AcceptResult Inbox::offer(Message&& m) {
   auto it = wires_.find(m.wire);
   assert(it != wires_.end() && "message for unregistered wire");
@@ -68,8 +85,76 @@ AcceptResult Inbox::offer(Message&& m) {
   // The message's vt accounts all earlier ticks as (implied) silence and
   // its own tick as data.
   w.horizon = m.vt;
-  w.pending.push_back(std::move(m));
+  if (w.runs.empty()) {
+    w.pending.push_back(std::move(m));
+  } else {
+    w.runs.back().behind.push_back(std::move(m));
+    ++w.queued;
+  }
   return AcceptResult::kAccepted;
+}
+
+RunOfferResult Inbox::offer_run(const MessageRun& run) {
+  auto it = wires_.find(run.wire);
+  assert(it != wires_.end() && "run for unregistered wire");
+  assert(run.source != nullptr);
+  WireState& w = it->second;
+  RunOfferResult result;
+  if (run.from_seq >= run.end_seq) return result;
+
+  // The per-message rules of offer(), applied to the range. A sound
+  // sender's records at or past next_seq order after the horizon, so the
+  // vt rule can only reject the whole run (its last vt is accounted) or
+  // the records below next_seq, which the seq rule rejects anyway.
+  if (run.through <= w.horizon || run.end_seq <= w.next_seq) {
+    result.duplicates = run.end_seq - run.from_seq;
+    if (trace_ != nullptr) trace_run(run, run.end_seq, false);
+    return result;
+  }
+  if (run.from_seq > w.next_seq) {
+    result.gaps = run.end_seq - run.from_seq;
+    if (trace_ != nullptr) trace_run(run, run.end_seq, true);
+    return result;
+  }
+  MessageRun rest = run;
+  if (rest.from_seq < w.next_seq) {
+    result.duplicates = w.next_seq - rest.from_seq;
+    if (trace_ != nullptr) trace_run(run, w.next_seq, false);
+    rest.from_seq = w.next_seq;
+  }
+  result.accepted = rest.end_seq - rest.from_seq;
+  w.next_seq = rest.end_seq;
+  w.horizon = rest.through;
+  w.runs.push_back(QueuedRun{rest, {}});
+  w.queued += result.accepted;
+  if (w.pending.empty()) refill(w);
+  return result;
+}
+
+void Inbox::refill(WireState& w) {
+  while (w.pending.empty() && !w.runs.empty()) {
+    QueuedRun& q = w.runs.front();
+    MessageRun& r = q.run;
+    if (r.from_seq < r.end_seq) {
+      const std::size_t want = static_cast<std::size_t>(
+          std::min<std::uint64_t>(kRunChunk, r.end_seq - r.from_seq));
+      const std::size_t n =
+          r.source->read_from_seq(r.wire, r.from_seq, want, chunk_);
+      // The run is already accounted: a source that lost its records
+      // cannot be papered over.
+      if (n != want || chunk_.front().seq != r.from_seq)
+        throw std::logic_error("run source lost records of an accepted run");
+      for (Message& m : chunk_) w.pending.push_back(std::move(m));
+      w.run_chunk = n;
+      r.from_seq += n;
+      w.queued -= n;
+    }
+    if (r.from_seq == r.end_seq) {
+      w.queued -= q.behind.size();
+      for (Message& m : q.behind) w.pending.push_back(std::move(m));
+      w.runs.pop_front();
+    }
+  }
 }
 
 bool Inbox::announce_silence(WireId wire, VirtualTime through,
@@ -138,6 +223,8 @@ std::optional<Message> Inbox::pop() {
   if (w == nullptr || !eligible(w->pending.front())) return std::nullopt;
   std::optional<Message> m(std::move(w->pending.front()));
   w->pending.pop_front();
+  if (w->run_chunk > 0) --w->run_chunk;
+  if (w->pending.empty() && !w->runs.empty()) refill(*w);
   return m;
 }
 
@@ -166,13 +253,18 @@ VirtualTime Inbox::wire_horizon(WireId wire) const {
 
 std::size_t Inbox::pending() const {
   std::size_t n = 0;
-  for (const auto& [id, w] : wires_) n += w.pending.size();
+  for (const auto& [id, w] : wires_) n += w.pending.size() + w.queued;
   return n;
 }
 
 std::size_t Inbox::pending_on(WireId wire) const {
   const WireState* w = find(wire);
-  return w == nullptr ? 0 : w->pending.size();
+  return w == nullptr ? 0 : w->pending.size() + w->queued;
+}
+
+std::size_t Inbox::decoded_run_messages(WireId wire) const {
+  const WireState* w = find(wire);
+  return w == nullptr ? 0 : w->run_chunk;
 }
 
 bool Inbox::exhausted() const {
@@ -193,6 +285,9 @@ void Inbox::restore_position(WireId wire, VirtualTime through,
   assert(it != wires_.end());
   WireState& w = it->second;
   w.pending.clear();
+  w.run_chunk = 0;
+  w.runs.clear();
+  w.queued = 0;
   w.horizon = through;
   w.next_seq = seq;
 }

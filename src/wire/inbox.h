@@ -28,6 +28,15 @@
 // Duplicate suppression (§II.F.4): after replay, "duplicate messages will
 // have duplicate timestamps and will be discarded" — any arrival whose vt
 // is not beyond the wire's accounted horizon is dropped as a duplicate.
+//
+// Runs: a sender that keeps what it sent (the external input log) can hand
+// over a replay as a run — a seq range and the vt of its last record —
+// instead of the messages. The run is accounted at once (next_seq and
+// horizon move past it, exactly as offering its messages would), but its
+// records are read back from the sender's store only as the wire drains,
+// one chunk of at most kRunChunk at a time. Arrivals accepted behind a run
+// queue after its remaining records, in order. Every count of pending
+// messages includes a run's unread records.
 #pragma once
 
 #include <cstdint>
@@ -53,8 +62,43 @@ enum class AcceptResult {
   kGap,        ///< seq jumped: preceding ticks lost; replay needed.
 };
 
+/// A sender's store of messages it already sent, read back by seq.
+class RunSource {
+ public:
+  /// Replaces `out` with at most `max` messages on `wire` from seq
+  /// `from_seq` on, in order (reusing its storage), and returns how many.
+  virtual std::size_t read_from_seq(WireId wire, std::uint64_t from_seq,
+                                    std::size_t max,
+                                    std::vector<Message>& out) const = 0;
+
+ protected:
+  ~RunSource() = default;
+};
+
+/// Messages [from_seq, end_seq) on `wire`, held by `source`; the last one
+/// is at vt `through`. `source` must outlive every inbox holding the run
+/// and keep the run's records until they are read.
+struct MessageRun {
+  const RunSource* source = nullptr;
+  WireId wire;
+  std::uint64_t from_seq = 0;
+  std::uint64_t end_seq = 0;
+  VirtualTime through;
+};
+
+/// Outcome of offering a run: what offering its messages one by one would
+/// have returned, counted.
+struct RunOfferResult {
+  std::uint64_t accepted = 0;
+  std::uint64_t duplicates = 0;
+  std::uint64_t gaps = 0;  ///< the run starts past next_seq: all of it
+};
+
 class Inbox {
  public:
+  /// Most records of a run decoded and held at once on one wire.
+  static constexpr std::size_t kRunChunk = 64;
+
   /// Registers an input wire. All wires must be added before scheduling
   /// starts (static wiring per §II.B).
   void add_wire(WireId wire);
@@ -84,6 +128,13 @@ class Inbox {
   /// accounts all earlier ticks on that wire as silent. Moves `m` into the
   /// queue only when accepted; a duplicate or gap leaves it untouched.
   AcceptResult offer(Message&& m);
+
+  /// Offers `run` as offering each of its messages in order would: the
+  /// records below next_seq are duplicates, a run starting past next_seq
+  /// is a gap, and the rest are accepted and accounted at once. Requires a
+  /// sound sender: no silence it announced covers a record of the run.
+  /// Reads the first chunk when the wire has nothing else pending.
+  RunOfferResult offer_run(const MessageRun& run);
 
   /// Explicit silence announcement: `wire` has no data through `through`.
   /// Monotonic; stale announcements are ignored. When `expected_seq` is
@@ -124,6 +175,9 @@ class Inbox {
   /// Messages pending on one wire (stall introspection).
   [[nodiscard]] std::size_t pending_on(WireId wire) const;
 
+  /// Records of a run held decoded on `wire` (at most kRunChunk).
+  [[nodiscard]] std::size_t decoded_run_messages(WireId wire) const;
+
   /// True when every wire is closed (horizon == +inf) and nothing pending.
   [[nodiscard]] bool exhausted() const;
 
@@ -135,8 +189,20 @@ class Inbox {
   void restore_position(WireId wire, VirtualTime through, std::uint64_t seq);
 
  private:
+  /// A run's unread records, then the arrivals accepted behind it.
+  struct QueuedRun {
+    MessageRun run;  // from_seq: the next record to read
+    std::deque<Message> behind;
+  };
+
   struct WireState {
+    /// Decoded, in order; the first `run_chunk` came from a run. Empty
+    /// only when `runs` is (reads refill it as it drains).
     std::deque<Message> pending;  // nondecreasing vt, increasing seq
+    std::size_t run_chunk = 0;
+    /// Queued behind `pending`, in order.
+    std::deque<QueuedRun> runs;
+    std::size_t queued = 0;  // unread run records plus their `behind`
     VirtualTime horizon = VirtualTime(-1);  // all ticks <= horizon accounted
     std::uint64_t next_seq = 0;
     std::int64_t grid = 0;  // bias window: data only at multiples (0 = off)
@@ -165,11 +231,20 @@ class Inbox {
 
   [[nodiscard]] const WireState* find(WireId wire) const;
 
+  /// Restores the invariant that `pending` is empty only when `runs` is:
+  /// reads the next chunk of the first run, and moves the arrivals behind
+  /// a fully read run into `pending`.
+  void refill(WireState& w);
+
   /// Cold out-of-line record paths (see inbox.cc).
   void trace_discard(const Message& m) const;
   void trace_gap(const Message& m) const;
+  /// Records a rejected run's records [run.from_seq, end) as offer()
+  /// records rejected messages (discards, or gaps when `gap`).
+  void trace_run(const MessageRun& run, std::uint64_t end, bool gap) const;
 
   std::map<WireId, WireState> wires_;
+  std::vector<Message> chunk_;  // refill's read buffer, reused
   trace::TraceRecorder* trace_ = nullptr;
   ComponentId trace_self_;
 };

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <ostream>
+#include <span>
 
 #include "common/ids.h"
 #include "common/virtual_time.h"
@@ -73,6 +74,18 @@ struct Message {
   [[nodiscard]] static Message decode(serde::Reader& r) {
     Message m = decode_header(r);
     m.payload = Payload::decode(r);
+    return m;
+  }
+
+  /// The header of the one message encoded in `record`, checked to its
+  /// last byte with the same Reader calls as decode() but no payload
+  /// built. Throws serde::DecodeError exactly when decode() would refuse
+  /// `record` or leave bytes of it unread.
+  [[nodiscard]] static Message check_encoded(std::span<const std::byte> record) {
+    serde::Reader r(record.data(), record.size());
+    Message m = decode_header(r);
+    Payload::skip(r);
+    if (!r.at_end()) throw serde::DecodeError("trailing bytes after message");
     return m;
   }
 

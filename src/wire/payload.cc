@@ -12,6 +12,64 @@ enum Tag : std::uint8_t {
   kStrings = 5,
   kBytes = 6,
 };
+
+std::string to_string(std::span<const std::byte> v) {
+  return {reinterpret_cast<const char*>(v.data()), v.size()};
+}
+
+/// The one payload parser. With `Build` it decodes; without, it makes the
+/// same Reader calls (so accepts and refuses exactly the same bytes) and
+/// builds nothing.
+template <bool Build>
+Payload parse(serde::Reader& r) {
+  switch (r.read_u8()) {
+    case kNone:
+      return {};
+    case kInt: {
+      const std::int64_t v = r.read_svarint();
+      return Build ? Payload(v) : Payload();
+    }
+    case kDouble: {
+      const double v = r.read_double();
+      return Build ? Payload(v) : Payload();
+    }
+    case kString: {
+      const auto v = r.read_view();
+      if constexpr (Build) return Payload(to_string(v));
+      return {};
+    }
+    case kInts: {
+      const auto n = r.read_count();
+      std::vector<std::int64_t> v;
+      if constexpr (Build) v.reserve(n);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        const std::int64_t e = r.read_svarint();
+        if constexpr (Build) v.push_back(e);
+      }
+      if constexpr (Build) return Payload(std::move(v));
+      return {};
+    }
+    case kStrings: {
+      const auto n = r.read_count();
+      std::vector<std::string> v;
+      if constexpr (Build) v.reserve(n);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        const auto e = r.read_view();
+        if constexpr (Build) v.push_back(to_string(e));
+      }
+      if constexpr (Build) return Payload(std::move(v));
+      return {};
+    }
+    case kBytes: {
+      const auto v = r.read_view();
+      if constexpr (Build)
+        return Payload(std::vector<std::byte>(v.begin(), v.end()));
+      return {};
+    }
+    default:
+      throw serde::DecodeError("bad payload tag");
+  }
+}
 }  // namespace
 
 void Payload::encode(serde::Writer& w) const {
@@ -45,35 +103,8 @@ void Payload::encode(serde::Writer& w) const {
       value_);
 }
 
-Payload Payload::decode(serde::Reader& r) {
-  switch (r.read_u8()) {
-    case kNone:
-      return {};
-    case kInt:
-      return Payload(r.read_svarint());
-    case kDouble:
-      return Payload(r.read_double());
-    case kString:
-      return Payload(r.read_string());
-    case kInts: {
-      const auto n = r.read_count();
-      std::vector<std::int64_t> v;
-      v.reserve(n);
-      for (std::uint64_t i = 0; i < n; ++i) v.push_back(r.read_svarint());
-      return Payload(std::move(v));
-    }
-    case kStrings: {
-      const auto n = r.read_count();
-      std::vector<std::string> v;
-      v.reserve(n);
-      for (std::uint64_t i = 0; i < n; ++i) v.push_back(r.read_string());
-      return Payload(std::move(v));
-    }
-    case kBytes:
-      return Payload(r.read_bytes());
-    default:
-      throw serde::DecodeError("bad payload tag");
-  }
-}
+Payload Payload::decode(serde::Reader& r) { return parse<true>(r); }
+
+void Payload::skip(serde::Reader& r) { (void)parse<false>(r); }
 
 }  // namespace tart

@@ -82,6 +82,10 @@ class Payload {
 
   void encode(serde::Writer& w) const;
   [[nodiscard]] static Payload decode(serde::Reader& r);
+  /// Reads past one encoded payload with the same Reader calls as
+  /// decode(), building nothing: accepts and refuses exactly what decode()
+  /// does.
+  static void skip(serde::Reader& r);
 
  private:
   Variant value_;

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <thread>
 
 #include "apps/wordcount.h"
@@ -357,17 +358,33 @@ TEST(MessageLogCompactionTest, SetBaseSeedsPositionsWithoutEntries) {
 namespace tart {
 namespace {
 
+/// A WordCountSender that takes at least `delay` per message, so a
+/// restart's replay runs drain slowly enough to act on mid-run.
+class SlowSender : public apps::WordCountSender {
+ public:
+  explicit SlowSender(std::chrono::microseconds delay) : delay_(delay) {}
+  void on_message(core::Context& ctx, PortId port,
+                  const Payload& payload) override {
+    if (delay_.count() > 0) std::this_thread::sleep_for(delay_);
+    apps::WordCountSender::on_message(ctx, port, payload);
+  }
+
+ private:
+  std::chrono::microseconds delay_;
+};
+
 struct DurableApp {
   core::Topology topo;
   ComponentId s1, s2, merger;
   WireId in1, in2, out;
 
-  DurableApp() {
-    s1 = topo.add("s1", [] {
-      return std::make_unique<apps::WordCountSender>();
+  explicit DurableApp(
+      std::chrono::microseconds sender_delay = std::chrono::microseconds(0)) {
+    s1 = topo.add("s1", [sender_delay] {
+      return std::make_unique<SlowSender>(sender_delay);
     });
-    s2 = topo.add("s2", [] {
-      return std::make_unique<apps::WordCountSender>();
+    s2 = topo.add("s2", [sender_delay] {
+      return std::make_unique<SlowSender>(sender_delay);
     });
     merger = topo.add("m", [] {
       return std::make_unique<apps::TotalingMerger>();
@@ -633,6 +650,181 @@ TEST_F(TieredRestartTest, RestartAcrossEnginesDiscardsNoDuplicates) {
   ASSERT_TRUE(rt.drain());
   EXPECT_EQ(rt.state_fingerprint(app.merger), fingerprint);
   EXPECT_EQ(rt.total_metrics().duplicates_discarded, 0u);
+  rt.stop();
+}
+
+// --- Restart replays as log-backed runs ---------------------------------------
+//
+// A restart hands each sender its log suffix as one run, read back from the
+// log a chunk at a time as the sender drains it. The senders here are
+// slowed down, so the suffix (many chunks) is still draining when the test
+// acts: live input, a durable checkpoint, an engine crash.
+
+constexpr int kRunPrefixPairs = 10;
+constexpr int kRunSuffixPairs = 600;  // ~10 chunks per wire
+constexpr auto kSlowSender = std::chrono::microseconds(100);
+
+/// Durable config with segments large enough for a long suffix.
+core::RuntimeConfig run_config(const std::string& log_dir) {
+  core::RuntimeConfig config = durable_config(log_dir);
+  config.durability.segment_bytes = 16 << 10;
+  return config;
+}
+
+/// Writes a log whose newest durable checkpoint covers kRunPrefixPairs
+/// settled pairs, followed by kRunSuffixPairs more, and stops.
+void write_suffix_log(const std::string& log_dir) {
+  DurableApp app;
+  core::Runtime rt(app.topo, app.split_placement(), run_config(log_dir));
+  rt.start();
+  for (int i = 0; i < kRunPrefixPairs; ++i) inject_pair(rt, app, i);
+  settle(rt);
+  ASSERT_TRUE(rt.checkpoint_manager()->checkpoint_now().ok);
+  for (int i = kRunPrefixPairs; i < kRunPrefixPairs + kRunSuffixPairs; ++i)
+    inject_pair(rt, app, i);
+  rt.stop();
+}
+
+/// The merger's fingerprint after pairs [0, pairs) through a runtime that
+/// never restarts: settled (inputs left open) or drained.
+std::uint64_t reference_fingerprint(int pairs, bool drain) {
+  DurableApp app;
+  core::Runtime rt(app.topo, app.split_placement(), run_config(""));
+  rt.start();
+  for (int i = 0; i < pairs; ++i) inject_pair(rt, app, i);
+  if (drain) {
+    EXPECT_TRUE(rt.drain());
+  } else {
+    settle(rt);
+  }
+  const std::uint64_t fingerprint = rt.state_fingerprint(app.merger);
+  rt.stop();
+  return fingerprint;
+}
+
+/// Waits until `component` has drained at least one chunk of its replay
+/// run and still holds more than two.
+void wait_mid_run(core::Runtime& rt, ComponentId component) {
+  constexpr std::size_t kChunk = core::ComponentRunner::kHandoffBatchCap;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (;;) {
+    for (const auto& c : rt.status().components)
+      if (c.id == component && c.pending > 2 * kChunk &&
+          c.pending + kChunk < static_cast<std::size_t>(kRunSuffixPairs))
+        return;
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the replay run was never seen mid-drain";
+    std::this_thread::yield();
+  }
+}
+
+// Pending counts include a run's unread records: catch_up returns only once
+// the whole suffix went through, so the merger is where a never-restarted
+// run is.
+TEST_F(TieredRestartTest, CatchUpWaitsForEveryChunkOfTheRun) {
+  const std::string log_dir = dir_.string();
+  write_suffix_log(log_dir);
+  const std::uint64_t want =
+      reference_fingerprint(kRunPrefixPairs + kRunSuffixPairs, false);
+
+  DurableApp app(kSlowSender);
+  core::Runtime rt(app.topo, app.split_placement(), run_config(log_dir));
+  EXPECT_EQ(rt.recovery_info().suffix_records, 2u * kRunSuffixPairs);
+  rt.start();
+  // Accounted at once: the senders' horizons already cover the whole log,
+  // so only the pending counts (more than the one decoded chunk: the
+  // unread records too) hold catch_up back.
+  constexpr int kLast = kRunPrefixPairs + kRunSuffixPairs - 1;
+  for (const auto& c : rt.status().components) {
+    if (c.id != app.s1 && c.id != app.s2) continue;
+    ASSERT_EQ(c.inputs.size(), 1u);
+    const auto& in = c.inputs.front();
+    EXPECT_EQ(in.horizon_ticks, c.id == app.s1 ? 1000 + kLast * 500'000
+                                               : 700 + kLast * 400'000);
+    EXPECT_GT(in.pending, core::ComponentRunner::kHandoffBatchCap);
+    EXPECT_LE(in.pending, static_cast<std::size_t>(kRunSuffixPairs));
+    EXPECT_GE(c.pending, in.pending);
+  }
+  EXPECT_TRUE(durability::ReplayDriver::catch_up(rt).caught_up);
+  EXPECT_EQ(rt.state_fingerprint(app.merger), want);
+  EXPECT_EQ(rt.total_metrics().duplicates_discarded, 0u);
+  rt.stop();
+}
+
+// (a) Live input on the replayed wires queues behind the run's unread
+// records: processed after it, once each, in vt order.
+TEST_F(TieredRestartTest, LiveInputDuringCatchUpFollowsTheRun) {
+  constexpr int kLivePairs = 20;
+  const std::string log_dir = dir_.string();
+  write_suffix_log(log_dir);
+  constexpr int kLogged = kRunPrefixPairs + kRunSuffixPairs;
+  const std::uint64_t want = reference_fingerprint(kLogged + kLivePairs, true);
+
+  DurableApp app(kSlowSender);
+  core::Runtime rt(app.topo, app.split_placement(), run_config(log_dir));
+  rt.start();
+  wait_mid_run(rt, app.s1);
+  for (int i = kLogged; i < kLogged + kLivePairs; ++i) inject_pair(rt, app, i);
+  EXPECT_TRUE(durability::ReplayDriver::catch_up(rt).caught_up);
+  ASSERT_TRUE(rt.drain());
+  EXPECT_EQ(rt.state_fingerprint(app.merger), want);
+  EXPECT_EQ(rt.total_metrics().duplicates_discarded, 0u);
+  EXPECT_EQ(rt.metrics(app.s1).messages_processed,
+            static_cast<std::uint64_t>(kLogged + kLivePairs));
+  EXPECT_EQ(rt.metrics(app.s2).messages_processed,
+            static_cast<std::uint64_t>(kLogged + kLivePairs));
+  rt.stop();
+}
+
+// (b) A durable checkpoint taken while the runs drain covers only what was
+// processed; a second restart from it replays the rest.
+TEST_F(TieredRestartTest, CheckpointMidCatchUpThenRestartMatches) {
+  const std::string log_dir = dir_.string();
+  write_suffix_log(log_dir);
+  constexpr int kLogged = kRunPrefixPairs + kRunSuffixPairs;
+  const std::uint64_t want = reference_fingerprint(kLogged, true);
+
+  std::uint64_t first_covered = 0;
+  {
+    DurableApp app(kSlowSender);
+    core::Runtime rt(app.topo, app.split_placement(), run_config(log_dir));
+    first_covered = rt.recovery_info().covered_records;
+    rt.start();
+    wait_mid_run(rt, app.s1);
+    const auto stats = rt.checkpoint_manager()->checkpoint_now();
+    ASSERT_TRUE(stats.ok) << stats.error;
+    EXPECT_GT(stats.covered_records, first_covered);
+    EXPECT_LT(stats.covered_records, 2u * kLogged);
+    rt.stop();
+  }
+  DurableApp app;
+  core::Runtime rt(app.topo, app.split_placement(), run_config(log_dir));
+  EXPECT_GT(rt.recovery_info().covered_records, first_covered);
+  rt.start();
+  EXPECT_TRUE(durability::ReplayDriver::catch_up(rt).caught_up);
+  ASSERT_TRUE(rt.drain());
+  EXPECT_EQ(rt.state_fingerprint(app.merger), want);
+  rt.stop();
+}
+
+// (c) An engine crash in the middle of its runs loses them with the
+// runners; recovery replays from the restored positions as new runs.
+TEST_F(TieredRestartTest, EngineCrashMidRunRecoversToTheSameState) {
+  const std::string log_dir = dir_.string();
+  write_suffix_log(log_dir);
+  const std::uint64_t want =
+      reference_fingerprint(kRunPrefixPairs + kRunSuffixPairs, true);
+
+  DurableApp app(kSlowSender);
+  core::Runtime rt(app.topo, app.split_placement(), run_config(log_dir));
+  rt.start();
+  wait_mid_run(rt, app.s1);
+  rt.crash_engine(EngineId(0));  // both senders, mid-run
+  rt.recover_engine(EngineId(0));
+  EXPECT_TRUE(durability::ReplayDriver::catch_up(rt).caught_up);
+  ASSERT_TRUE(rt.drain());
+  EXPECT_EQ(rt.state_fingerprint(app.merger), want);
   rt.stop();
 }
 
@@ -1215,8 +1407,58 @@ TEST_F(DiskFuzzTest, LogRecordMutationsLoadOrFailTyped) {
   EXPECT_LT(loaded, kMutationRounds);
 }
 
+// load checks a record with Message::check_encoded, which builds no
+// payload: it must accept exactly the records Message::decode accepts
+// with no bytes left over, and find the same header.
+TEST_F(DiskFuzzTest, RecordCheckAcceptsExactlyWhatDecodeAccepts) {
+  const auto decodes = [](const Bytes& b) -> std::optional<Message> {
+    try {
+      serde::Reader r(b.data(), b.size());
+      Message m = Message::decode(r);
+      if (!r.at_end()) return std::nullopt;
+      return m;
+    } catch (const serde::DecodeError&) {
+      return std::nullopt;
+    }
+  };
+  const auto checks = [](const Bytes& b) -> std::optional<Message> {
+    try {
+      return Message::check_encoded(b);
+    } catch (const serde::DecodeError&) {
+      return std::nullopt;
+    }
+  };
+  Rng rng(0xC4EC4ED);
+  int accepted = 0, refused = 0;
+  const auto agree = [&](const Bytes& b, const std::string& what) {
+    const auto decoded = decodes(b);
+    const auto checked = checks(b);
+    ASSERT_EQ(checked.has_value(), decoded.has_value()) << what;
+    if (!decoded) {
+      ++refused;
+      return;
+    }
+    ++accepted;
+    EXPECT_EQ(checked->wire, decoded->wire) << what;
+    EXPECT_EQ(checked->seq, decoded->seq) << what;
+    EXPECT_EQ(checked->vt, decoded->vt) << what;
+  };
+  for (const Bytes& record : sample_records()) {
+    for (std::size_t cut = 0; cut <= record.size(); ++cut)
+      agree(Bytes(record.begin(), record.begin() + cut),
+            "cut " + std::to_string(cut));
+    Bytes longer = record;
+    longer.push_back(std::byte{0});
+    agree(longer, "one trailing byte");
+    for (int round = 0; round < kMutationRounds; ++round)
+      agree(mutate(record, rng), "round " + std::to_string(round));
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(refused, 0);
+}
+
 // The log keeps records as their bytes and decodes them at replay: load
-// must still decode every one, so a framed record whose checksum holds but
+// must still check every one, so a framed record whose checksum holds but
 // whose body does not decode refuses the whole load (records already
 // copied in are dropped again), and a load that succeeds replays every
 // record as it was written.

@@ -39,16 +39,32 @@ PERFBENCH_SMOKE=1 python3 -m unittest discover -s perfbench -p 'test_*.py'
 echo "== migration bench smoke =="
 ./build/bench/bench_migration --smoke
 
+# Runs a gtest binary on a named filter. Every ':'-separated pattern must
+# select at least one test: gtest has no --gtest_fail_if_no_test_selected,
+# so a renamed or deleted test would otherwise pass its gate on zero tests.
+run_named() {
+  local bin="$1" filter="$2" pattern listed
+  local -a patterns
+  IFS=':' read -ra patterns <<<"$filter"
+  for pattern in "${patterns[@]}"; do
+    listed=$("$bin" --gtest_list_tests --gtest_filter="$pattern")
+    if ! grep -q '^  ' <<<"$listed"; then
+      echo "$bin: filter pattern '$pattern' selects no test" >&2
+      return 1
+    fi
+  done
+  "$bin" --gtest_filter="$filter" --gtest_brief=1
+}
+
 # Exposition lint: the Prometheus-conventions linter (obs::lint_exposition)
-# must pass both on synthetic pages (obs_test) and against a real gateway
-# scrape (gateway_test's MetricsAndHealthz). Run them by name so a filter
-# change in the suites can't silently drop the gate.
+# must pass both on synthetic pages (obs_test) and against real gateway
+# scrapes (gateway_test's MetricsAndHealthz, and the durable page that must
+# serve every family perfbench reads). Run them by name so a filter change
+# in the suites can't silently drop the gate.
 echo "== exposition lint =="
-./build/tests/obs_test \
-  --gtest_filter='ExpositionLint.*:Exposition.*:Exemplars.*' --gtest_brief=1
-./build/tests/gateway_test \
-  --gtest_filter='*MetricsAndHealthz*:*StatusReportsSilenceWavefront*' \
-  --gtest_brief=1
+run_named ./build/tests/obs_test 'ExpositionLint.*:Exposition.*:Exemplars.*'
+run_named ./build/tests/gateway_test \
+  '*MetricsAndHealthz*:*StatusReportsSilenceWavefront*:*DurablePageServesEveryBenchmarkFamily*'
 
 if [[ "$run_asan" == 1 ]]; then
   echo "== tier-1 under AddressSanitizer =="

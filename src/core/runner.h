@@ -165,14 +165,7 @@ class ComponentRunner {
   [[nodiscard]] ComponentId id() const { return id_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] VirtualTime published_horizon(WireId wire) const;
-  [[nodiscard]] MetricsSnapshot metrics() const {
-    MetricsSnapshot s = metrics_.snapshot();
-    if (tracer_ != nullptr) {
-      s.trace_events_recorded = tracer_->recorded(id_);
-      s.trace_events_dropped = tracer_->dropped(id_);
-    }
-    return s;
-  }
+  [[nodiscard]] MetricsSnapshot metrics() const { return metrics_.snapshot(); }
   /// All inputs closed and processed, no handler running.
   [[nodiscard]] bool exhausted() const;
   [[nodiscard]] VirtualTime current_vt() const;

@@ -789,11 +789,68 @@ std::size_t Runtime::retained_messages(ComponentId component) {
   return r == nullptr ? 0 : r->retained_messages();
 }
 
-void Runtime::harvest_memory_gauges() {
-  registry_
-      .gauge("tart_log_memory_bytes",
-             "Bytes the external input log holds in memory.")
-      .set(static_cast<std::int64_t>(message_log_.memory_bytes()));
+void Runtime::harvest_telemetry() {
+  const auto count = [this](const char* name, const char* help,
+                            std::uint64_t v) {
+    registry_.counter(name, help).set(v);
+  };
+  const auto level = [this](const char* name, const char* help,
+                            std::uint64_t v) {
+    registry_.gauge(name, help).set(static_cast<std::int64_t>(v));
+  };
+  count("tart_trace_events_recorded_total", "Flight-recorder events recorded",
+        tracer_ ? tracer_->total_recorded() : 0);
+  count("tart_trace_events_dropped_total",
+        "Flight-recorder events dropped on ring overflow",
+        tracer_ ? tracer_->total_dropped() : 0);
+
+  const log::SegmentedStore* seg = segment_store_.get();
+  count("tart_store_records_written_total",
+        "Records appended to stable storage",
+        seg ? fault_store_->records_written() + seg->records_written() : 0);
+  count("tart_store_flushes_total",
+        "Stable-store fsync flushes (less than records = group commit)",
+        seg ? fault_store_->flushes() + seg->flushes() : 0);
+  level("tart_log_segments", "External-log segments currently on disk",
+        seg ? seg->segment_count() : 0);
+  level("tart_log_disk_bytes",
+        "Bytes the segmented external log occupies on disk.",
+        seg ? seg->bytes_on_disk() : 0);
+  count("tart_log_segments_deleted_total",
+        "Wholly-covered log segments deleted by compaction",
+        seg ? seg->segments_deleted() : 0);
+  count("tart_log_records_reclaimed_total",
+        "Log records reclaimed by checkpoint-gated compaction",
+        seg ? message_log_.truncated_messages() : 0);
+  level("tart_external_log_retained_messages",
+        "Total external input messages retained in the replay log.",
+        message_log_.total_size());
+  level("tart_log_memory_bytes",
+        "Bytes the external input log holds in memory.",
+        message_log_.memory_bytes());
+
+  const durability::CheckpointManager* ckpt = ckpt_manager_.get();
+  count("tart_ckpt_written_total", "Durable checkpoint files written",
+        ckpt ? ckpt->checkpoints_written() : 0);
+  count("tart_ckpt_bytes_total",
+        "Bytes written into durable checkpoint files",
+        ckpt ? ckpt->checkpoint_bytes() : 0);
+  count("tart_ckpt_failed_total",
+        "Durable checkpoint attempts that failed (barrier or write)",
+        ckpt ? ckpt->checkpoint_failures() : 0);
+  count("tart_ckpt_skipped_invalid_total",
+        "Torn/corrupt checkpoint files skipped at restart",
+        recovery_.skipped_invalid);
+  level("tart_restart_covered_records",
+        "Log records the restart checkpoint covered (not replayed)",
+        recovery_.covered_records);
+  level("tart_restart_suffix_records",
+        "Log records replayed from the suffix at restart",
+        recovery_.suffix_records);
+  count("tart_retention_trimmed_records_total",
+        "Retention-buffer records trimmed below the remote durable cover",
+        retention_trimmed_.load(std::memory_order_relaxed));
+
   for (const auto& [component, engine] : placement_snapshot()) {
     if (!engine_is_local(engine)) continue;
     const auto r = engines_.at(engine)->runner(component);
@@ -811,26 +868,17 @@ MetricsSnapshot Runtime::total_metrics() const {
   for (const auto& [component, engine] : placement_snapshot()) {
     if (!engine_is_local(engine)) continue;
     const MetricsSnapshot s = engines_.at(engine)->metrics(component);
-    total += s;
+    total.messages_processed += s.messages_processed;
+    total.calls_served += s.calls_served;
+    total.probes_sent += s.probes_sent;
+    total.pessimism_events += s.pessimism_events;
+    total.pessimism_wait_ns += s.pessimism_wait_ns;
+    total.estimator_underestimates += s.estimator_underestimates;
+    total.out_of_order_arrivals += s.out_of_order_arrivals;
+    total.duplicates_discarded += s.duplicates_discarded;
+    total.gaps_detected += s.gaps_detected;
+    total.checkpoints_taken += s.checkpoints_taken;
   }
-  if (segment_store_ != nullptr) {
-    total.store_records_written += fault_store_->records_written() +
-                                   segment_store_->records_written();
-    total.store_flushes +=
-        fault_store_->flushes() + segment_store_->flushes();
-    total.log_segments = segment_store_->segment_count();
-    total.log_bytes_on_disk = segment_store_->bytes_on_disk();
-    total.log_segments_deleted = segment_store_->segments_deleted();
-    total.log_records_reclaimed = message_log_.truncated_messages();
-  }
-  if (ckpt_manager_ != nullptr) {
-    total.ckpt_written = ckpt_manager_->checkpoints_written();
-    total.ckpt_bytes = ckpt_manager_->checkpoint_bytes();
-    total.ckpt_failed = ckpt_manager_->checkpoint_failures();
-  }
-  total.ckpt_skipped_invalid = recovery_.skipped_invalid;
-  total.restart_covered_records = recovery_.covered_records;
-  total.restart_suffix_records = recovery_.suffix_records;
   return total;
 }
 

@@ -220,6 +220,9 @@ class Runtime final : public FrameRouter {
 
   // --- Introspection -------------------------------------------------------
 
+  /// Typed reads of the per-component scheduler counters (one component,
+  /// or the sum over the local ones); every other telemetry number is read
+  /// from registry().
   [[nodiscard]] MetricsSnapshot metrics(ComponentId component) const;
   [[nodiscard]] MetricsSnapshot total_metrics() const;
   /// Silence wavefront across every locally-placed component: VT
@@ -235,12 +238,14 @@ class Runtime final : public FrameRouter {
   [[nodiscard]] std::uint64_t state_fingerprint(ComponentId component);
   /// Messages currently held in a component's output retention buffers.
   [[nodiscard]] std::size_t retained_messages(ComponentId component);
-  /// Sets the memory gauges from the stores' current sizes:
-  /// tart_log_memory_bytes (the external log) and
-  /// tart_retention_memory_bytes{component} (each local component's output
-  /// retention; 0 while crashed). Called when telemetry is harvested or
-  /// scraped, never per message.
-  void harvest_memory_gauges();
+  /// Sets the registry families the runtime reads from its own parts:
+  /// trace, stable-store, log, checkpoint, restart and retention counts and
+  /// sizes (each 0 when its part is absent), plus
+  /// tart_retention_memory_bytes{component} for each local component (0
+  /// while crashed). Called by every telemetry pull (GET /metrics, GET
+  /// /obs, the host's gauge sweep), never per message. The cells are
+  /// registered by the first call, so a runtime nobody scrapes has none.
+  void harvest_telemetry();
   [[nodiscard]] const log::ExternalMessageLog& external_log() const {
     return message_log_;
   }
@@ -320,12 +325,6 @@ class Runtime final : public FrameRouter {
   /// — the remote consumer's durable-checkpoint cover, which no failover
   /// can ever replay-request again. No-op for external or non-local wires.
   void trim_retention_below(WireId wire, std::uint64_t below_seq);
-
-  /// Records trimmed by trim_retention_below across all wires (monotone;
-  /// the host surfaces it as tart_retention_trimmed_records_total).
-  [[nodiscard]] std::uint64_t retention_trimmed() const {
-    return retention_trimmed_.load(std::memory_order_relaxed);
-  }
 
   // --- Durability (docs/RECOVERY.md; active only with a log_dir) ----------
 

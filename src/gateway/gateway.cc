@@ -132,6 +132,25 @@ Gateway::Gateway(core::Runtime* runtime, Options options,
       inputs_(std::move(inputs)),
       outputs_(std::move(outputs)),
       host_(std::move(host)),
+      requests_(runtime->registry().counter("tart_gw_requests_total",
+                                            "HTTP requests parsed")),
+      acked_(runtime->registry().counter(
+          "tart_gw_acked_total",
+          "Injections acked 200 (durable, log-before-ack)")),
+      rejected_(runtime->registry().counter("tart_gw_rejected_total",
+                                            "429 admission rejections")),
+      errors_(runtime->registry().counter("tart_gw_errors_total",
+                                          "Other 4xx/5xx responses")),
+      redirects_(runtime->registry().counter(
+          "tart_gw_redirects_total",
+          "307 redirects to the input's current owner after migration")),
+      commit_batches_(runtime->registry().counter(
+          "tart_gw_commit_batches_total", "Group-commit rounds")),
+      commit_records_(runtime->registry().counter(
+          "tart_gw_commit_records_total",
+          "Injections across all commit rounds")),
+      commit_batch_max_(runtime->registry().gauge(
+          "tart_gw_commit_batch_max", "Largest single group-commit round")),
       // Ack latencies: 50us buckets to 250ms, overflow above (fsync-bound
       // tails on loaded disks land in the overflow bucket, still counted).
       ack_latency_(runtime->registry().histogram(
@@ -208,31 +227,6 @@ void Gateway::shutdown() {
   listener_.reset();
 }
 
-GatewayCounters Gateway::counters() const {
-  GatewayCounters c;
-  c.requests = requests_.load();
-  c.acked = acked_.load();
-  c.rejected = rejected_.load();
-  c.errors = errors_.load();
-  c.redirects = redirects_.load();
-  c.commit_batches = commit_batches_.load();
-  c.commit_records = commit_records_.load();
-  c.commit_batch_max = commit_batch_max_.load();
-  return c;
-}
-
-void Gateway::fill(core::MetricsSnapshot& snapshot) const {
-  const GatewayCounters c = counters();
-  snapshot.gw_requests = c.requests;
-  snapshot.gw_acked = c.acked;
-  snapshot.gw_rejected = c.rejected;
-  snapshot.gw_errors = c.errors;
-  snapshot.gw_redirects = c.redirects;
-  snapshot.gw_commit_batches = c.commit_batches;
-  snapshot.gw_commit_records = c.commit_records;
-  snapshot.gw_commit_batch_max = c.commit_batch_max;
-}
-
 // --- Loop thread: connections ----------------------------------------------
 
 void Gateway::on_accept() {
@@ -304,22 +298,22 @@ void Gateway::serve_next(std::uint64_t id) {
     } catch (const HttpError& e) {
       // Typed protocol violation: answer with its status and close (the
       // byte stream cannot be re-synchronized).
-      errors_.fetch_add(1);
+      errors_.inc();
       respond(id, e.status(), {}, std::string(e.what()) + "\n", false);
       return;
     }
     if (!req) return;
-    requests_.fetch_add(1);
+    requests_.inc();
     try {
       handle_request(id, std::move(*req));
     } catch (const HttpError& e) {
       // Bad query string etc. — request-scoped, but simplest to close
       // (the handler had not responded yet when it threw).
-      errors_.fetch_add(1);
+      errors_.inc();
       respond(id, e.status(), {}, std::string(e.what()) + "\n", false);
       return;
     } catch (const std::exception& e) {
-      errors_.fetch_add(1);
+      errors_.inc();
       respond(id, 500, {}, std::string(e.what()) + "\n", false);
       return;
     }
@@ -334,7 +328,7 @@ void Gateway::handle_request(std::uint64_t id, HttpRequest req) {
 
   if (path.rfind("/inject/", 0) == 0) {
     if (req.method != "POST") {
-      errors_.fetch_add(1);
+      errors_.inc();
       respond(id, 405, {{"Allow", "POST"}}, "POST only\n", req.keep_alive);
       return;
     }
@@ -343,14 +337,14 @@ void Gateway::handle_request(std::uint64_t id, HttpRequest req) {
   }
   if (path.rfind("/close/", 0) == 0) {
     if (req.method != "POST") {
-      errors_.fetch_add(1);
+      errors_.inc();
       respond(id, 405, {{"Allow", "POST"}}, "POST only\n", req.keep_alive);
       return;
     }
     const std::string name(strip("/close/"));
     const auto it = inputs_.find(name);
     if (it == inputs_.end()) {
-      errors_.fetch_add(1);
+      errors_.inc();
       respond(id, 404, {}, "unknown input\n", req.keep_alive);
       return;
     }
@@ -361,7 +355,7 @@ void Gateway::handle_request(std::uint64_t id, HttpRequest req) {
   }
   if (path.rfind("/outputs/", 0) == 0) {
     if (req.method != "GET") {
-      errors_.fetch_add(1);
+      errors_.inc();
       respond(id, 405, {{"Allow", "GET"}}, "GET only\n", req.keep_alive);
       return;
     }
@@ -370,7 +364,7 @@ void Gateway::handle_request(std::uint64_t id, HttpRequest req) {
   }
   if (path == "/drain") {
     if (req.method != "POST") {
-      errors_.fetch_add(1);
+      errors_.inc();
       respond(id, 405, {{"Allow", "POST"}}, "POST only\n", req.keep_alive);
       return;
     }
@@ -379,7 +373,7 @@ void Gateway::handle_request(std::uint64_t id, HttpRequest req) {
     if (const auto t = query_param(params, "timeout_ms")) {
       const auto v = parse_i64(*t);
       if (!v || *v < 0) {
-        errors_.fetch_add(1);
+        errors_.inc();
         respond(id, 400, {}, "bad timeout_ms\n", req.keep_alive);
         return;
       }
@@ -401,7 +395,7 @@ void Gateway::handle_request(std::uint64_t id, HttpRequest req) {
         if (ok) {
           respond(id, 200, {}, "drained\n", keep);
         } else {
-          errors_.fetch_add(1);
+          errors_.inc();
           respond(id, 503, {}, "drain timeout\n", keep);
         }
         serve_next(id);
@@ -411,13 +405,13 @@ void Gateway::handle_request(std::uint64_t id, HttpRequest req) {
   }
   if (path == "/checkpoint") {
     if (req.method != "POST") {
-      errors_.fetch_add(1);
+      errors_.inc();
       respond(id, 405, {{"Allow", "POST"}}, "POST only\n", req.keep_alive);
       return;
     }
     durability::CheckpointManager* mgr = runtime_->checkpoint_manager();
     if (mgr == nullptr) {
-      errors_.fetch_add(1);
+      errors_.inc();
       respond(id, 503, {}, "this node has no log directory\n",
               req.keep_alive);
       return;
@@ -442,7 +436,7 @@ void Gateway::handle_request(std::uint64_t id, HttpRequest req) {
              << ",\"reclaimed_records\":" << stats.reclaimed_records;
         if (!stats.ok) body << ",\"error\":\"" << stats.error << "\"";
         body << "}\n";
-        if (!stats.ok) errors_.fetch_add(1);
+        if (!stats.ok) errors_.inc();
         respond(id, stats.ok ? 200 : 500,
                 {{"Content-Type", "application/json"}}, body.str(), keep);
         serve_next(id);
@@ -452,7 +446,7 @@ void Gateway::handle_request(std::uint64_t id, HttpRequest req) {
   }
   if (path == "/migrate") {
     if (req.method != "POST") {
-      errors_.fetch_add(1);
+      errors_.inc();
       respond(id, 405, {{"Allow", "POST"}}, "POST only\n", req.keep_alive);
       return;
     }
@@ -461,7 +455,7 @@ void Gateway::handle_request(std::uint64_t id, HttpRequest req) {
   }
   if (path == "/shutdown") {
     if (req.method != "POST") {
-      errors_.fetch_add(1);
+      errors_.inc();
       respond(id, 405, {{"Allow", "POST"}}, "POST only\n", req.keep_alive);
       return;
     }
@@ -471,24 +465,22 @@ void Gateway::handle_request(std::uint64_t id, HttpRequest req) {
   }
   if (path == "/metrics") {
     if (req.method != "GET") {
-      errors_.fetch_add(1);
+      errors_.inc();
       respond(id, 405, {{"Allow", "GET"}}, "GET only\n", req.keep_alive);
       return;
     }
-    // One exposition path for the whole node: the global (snapshot)
-    // families plus every registry sample — per-component counters,
-    // pessimism-stall and probe-RTT histograms, and the gateway's own
-    // latency/batch cells.
-    runtime_->harvest_memory_gauges();
+    // One exposition path for the whole node: every registry sample —
+    // per-component counters, the runtime's harvested families, the peer
+    // transport's and the gateway's own counters, and every histogram.
+    runtime_->harvest_telemetry();
     respond(id, 200, {{"Content-Type", obs::kPrometheusContentType}},
-            obs::render_prometheus(snapshot(), runtime_->registry(),
-                                   options_.exemplars),
+            obs::render_prometheus(runtime_->registry(), options_.exemplars),
             req.keep_alive);
     return;
   }
   if (path == "/status") {
     if (req.method != "GET") {
-      errors_.fetch_add(1);
+      errors_.inc();
       respond(id, 405, {{"Allow", "GET"}}, "GET only\n", req.keep_alive);
       return;
     }
@@ -499,13 +491,13 @@ void Gateway::handle_request(std::uint64_t id, HttpRequest req) {
   }
   if (path == "/obs") {
     if (req.method != "GET") {
-      errors_.fetch_add(1);
+      errors_.inc();
       respond(id, 405, {{"Allow", "GET"}}, "GET only\n", req.keep_alive);
       return;
     }
-    runtime_->harvest_memory_gauges();
-    const obs::NodeReport report{host_.node, snapshot(),
-                                 runtime_->registry().samples(), status()};
+    runtime_->harvest_telemetry();
+    const obs::NodeReport report{host_.node, runtime_->registry().samples(),
+                                 status()};
     const std::vector<std::byte> body = report.encode();
     respond(id, 200, {{"Content-Type", obs::kNodeReportContentType}},
             std::string_view(reinterpret_cast<const char*>(body.data()),
@@ -515,7 +507,7 @@ void Gateway::handle_request(std::uint64_t id, HttpRequest req) {
   }
   if (path == "/profile") {
     if (req.method != "GET") {
-      errors_.fetch_add(1);
+      errors_.inc();
       respond(id, 405, {{"Allow", "GET"}}, "GET only\n", req.keep_alive);
       return;
     }
@@ -527,7 +519,7 @@ void Gateway::handle_request(std::uint64_t id, HttpRequest req) {
     respond(id, 200, {}, "ok\n", req.keep_alive);
     return;
   }
-  errors_.fetch_add(1);
+  errors_.inc();
   respond(id, 404, {}, "unknown endpoint\n", req.keep_alive);
 }
 
@@ -535,7 +527,7 @@ void Gateway::handle_inject(std::uint64_t id, const HttpRequest& req,
                             std::string_view name) {
   const auto input = inputs_.find(std::string(name));
   if (input == inputs_.end()) {
-    errors_.fetch_add(1);
+    errors_.inc();
     respond(id, 404, {}, "unknown input\n", req.keep_alive);
     return;
   }
@@ -547,7 +539,7 @@ void Gateway::handle_inject(std::uint64_t id, const HttpRequest& req,
   if (const auto v = query_param(params, "vt")) {
     const auto parsed = parse_i64(*v);
     if (!parsed || *parsed < 0) {
-      errors_.fetch_add(1);
+      errors_.inc();
       respond(id, 400, {}, "bad vt\n", req.keep_alive);
       return;
     }
@@ -558,7 +550,7 @@ void Gateway::handle_inject(std::uint64_t id, const HttpRequest& req,
   try {
     payload = payload_from_body(req);
   } catch (const HttpError& e) {
-    errors_.fetch_add(1);
+    errors_.inc();
     respond(id, e.status(), {}, std::string(e.what()) + "\n", req.keep_alive);
     return;
   }
@@ -568,7 +560,7 @@ void Gateway::handle_inject(std::uint64_t id, const HttpRequest& req,
   auto& inflight = inflight_.at(wire);
   if (inflight.load(std::memory_order_relaxed) >=
       options_.max_inflight_per_wire) {
-    rejected_.fetch_add(1);
+    rejected_.inc();
     respond(id, 429,
             {{"Retry-After", std::to_string(options_.retry_after_seconds)}},
             "input queue full\n", req.keep_alive);
@@ -605,7 +597,7 @@ void Gateway::handle_outputs(std::uint64_t id, const HttpRequest& req,
                              std::string_view name) {
   const auto output = outputs_.find(std::string(name));
   if (output == outputs_.end()) {
-    errors_.fetch_add(1);
+    errors_.inc();
     respond(id, 404, {}, "unknown output\n", req.keep_alive);
     return;
   }
@@ -617,7 +609,7 @@ void Gateway::handle_outputs(std::uint64_t id, const HttpRequest& req,
   if (const auto v = query_param(params, "after")) {
     const auto parsed = parse_i64(*v);
     if (!parsed || *parsed < 0) {
-      errors_.fetch_add(1);
+      errors_.inc();
       respond(id, 400, {}, "bad after\n", req.keep_alive);
       return;
     }
@@ -626,7 +618,7 @@ void Gateway::handle_outputs(std::uint64_t id, const HttpRequest& req,
   if (const auto v = query_param(params, "max")) {
     const auto parsed = parse_i64(*v);
     if (!parsed || *parsed <= 0) {
-      errors_.fetch_add(1);
+      errors_.inc();
       respond(id, 400, {}, "bad max\n", req.keep_alive);
       return;
     }
@@ -635,7 +627,7 @@ void Gateway::handle_outputs(std::uint64_t id, const HttpRequest& req,
   if (const auto v = query_param(params, "wait_ms")) {
     const auto parsed = parse_i64(*v);
     if (!parsed || *parsed < 0) {
-      errors_.fetch_add(1);
+      errors_.inc();
       respond(id, 400, {}, "bad wait_ms\n", req.keep_alive);
       return;
     }
@@ -667,7 +659,7 @@ bool Gateway::maybe_redirect(std::uint64_t id, const HttpRequest& req,
   if (owner->empty()) {
     // Owner is another partition with no advertised http address: nothing
     // to redirect to, and the wire is not observable from this node.
-    errors_.fetch_add(1);
+    errors_.inc();
     respond(id, 404, {}, "served by another partition\n", req.keep_alive);
     return true;
   }
@@ -678,7 +670,7 @@ bool Gateway::maybe_redirect(std::uint64_t id, const HttpRequest& req,
   // re-home the wire.
   std::string target = "http://" + *owner + req.path;
   if (!req.query.empty()) target += "?" + req.query;
-  redirects_.fetch_add(1);
+  redirects_.inc();
   respond(id, 307, {{"Location", std::move(target)}},
           "moved: input is served by " + *owner + "\n", req.keep_alive);
   return true;
@@ -686,7 +678,7 @@ bool Gateway::maybe_redirect(std::uint64_t id, const HttpRequest& req,
 
 void Gateway::handle_migrate(std::uint64_t id, const HttpRequest& req) {
   if (!host_.migrate) {
-    errors_.fetch_add(1);
+    errors_.inc();
     respond(id, 503, {}, "placement control is not enabled on this node\n",
             req.keep_alive);
     return;
@@ -695,7 +687,7 @@ void Gateway::handle_migrate(std::uint64_t id, const HttpRequest& req) {
   const auto component = query_param(params, "component");
   const auto to = query_param(params, "to");
   if (!component || component->empty() || !to || to->empty()) {
-    errors_.fetch_add(1);
+    errors_.inc();
     respond(id, 400, {}, "need component= and to= query parameters\n",
             req.keep_alive);
     return;
@@ -731,7 +723,7 @@ void Gateway::handle_migrate(std::uint64_t id, const HttpRequest& req) {
            << ",\"blackout_ms\":" << r.blackout_ms;
       if (!r.ok) body << ",\"error\":\"" << r.error << "\"";
       body << "}\n";
-      if (!r.ok) errors_.fetch_add(1);
+      if (!r.ok) errors_.inc();
       respond(id, r.ok ? 200 : 409, {{"Content-Type", "application/json"}},
               body.str(), keep);
       serve_next(id);
@@ -900,12 +892,9 @@ void Gateway::committer_main() {
       results = runtime_->try_inject_batch(requests);
     }
 
-    commit_batches_.fetch_add(1);
-    commit_records_.fetch_add(batch.size());
-    std::uint64_t prev = commit_batch_max_.load();
-    while (prev < batch.size() &&
-           !commit_batch_max_.compare_exchange_weak(prev, batch.size())) {
-    }
+    commit_batches_.inc();
+    commit_records_.inc(batch.size());
+    commit_batch_max_.max_with(static_cast<std::int64_t>(batch.size()));
     batch_size_.record(static_cast<double>(batch.size()));
     for (const auto& p : batch) {
       inflight_.at(p.wire).fetch_sub(1, std::memory_order_relaxed);
@@ -930,7 +919,7 @@ void Gateway::complete_commits(std::vector<PendingInject> batch,
         std::chrono::duration<double>(now - p.enqueued).count();
 
     if (r.status == core::InjectStatus::kOk) {
-      acked_.fetch_add(1);
+      acked_.inc();
       ack_latency_.record(latency_s);
       // Close the ingest triple: arrive -> durable -> ACK. Recorded here,
       // not in the committer, because the ack is released to the client
@@ -947,7 +936,7 @@ void Gateway::complete_commits(std::vector<PendingInject> batch,
                                now.time_since_epoch())
                                .count()));
     } else {
-      errors_.fetch_add(1);
+      errors_.inc();
     }
     if (!conns_.contains(p.conn_id)) continue;
 
@@ -976,15 +965,6 @@ void Gateway::complete_commits(std::vector<PendingInject> batch,
     }
     serve_next(p.conn_id);
   }
-}
-
-// --- Metrics ----------------------------------------------------------------
-
-core::MetricsSnapshot Gateway::snapshot() const {
-  core::MetricsSnapshot m =
-      host_.metrics ? host_.metrics() : runtime_->total_metrics();
-  fill(m);
-  return m;
 }
 
 core::StatusReport Gateway::status() const {

@@ -56,7 +56,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/metrics.h"
 #include "core/runtime.h"
 #include "gateway/http.h"
 #include "net/event_loop.h"
@@ -64,18 +63,6 @@
 #include "obs/registry.h"
 
 namespace tart::gateway {
-
-/// Scalar gateway counters (histograms render via GET /metrics only).
-struct GatewayCounters {
-  std::uint64_t requests = 0;
-  std::uint64_t acked = 0;
-  std::uint64_t rejected = 0;  ///< 429 admission rejections
-  std::uint64_t errors = 0;    ///< other 4xx/5xx
-  std::uint64_t redirects = 0;  ///< 307s to an input's post-migration owner
-  std::uint64_t commit_batches = 0;
-  std::uint64_t commit_records = 0;
-  std::uint64_t commit_batch_max = 0;
-};
 
 /// Result of a gateway-driven live migration (POST /migrate); mirrors
 /// placement::MigrationResult without making the gateway depend on the
@@ -108,9 +95,6 @@ class Gateway {
     bool exemplars = false;
   };
 
-  /// Transport-inclusive snapshot behind GET /metrics and GET /obs.
-  using MetricsFn = std::function<core::MetricsSnapshot()>;
-
   /// Wavefront report behind GET /status and GET /obs.
   using StatusFn = std::function<core::StatusReport()>;
 
@@ -130,7 +114,6 @@ class Gateway {
   /// the defaults suit a single-process deployment.
   struct Host {
     std::string node;  ///< name GET /obs attributes the report to
-    MetricsFn metrics;  ///< null = runtime totals
     /// null = Runtime::status(); a tart-node adds its placement epoch,
     /// placement table and in-flight migrations.
     StatusFn status;
@@ -157,9 +140,6 @@ class Gateway {
   void shutdown();
 
   [[nodiscard]] std::uint16_t port() const { return port_; }
-  [[nodiscard]] GatewayCounters counters() const;
-  /// Merges the scalar counters into a snapshot (gw_* fields).
-  void fill(core::MetricsSnapshot& snapshot) const;
 
  private:
   struct Conn {
@@ -223,7 +203,6 @@ class Gateway {
                std::string_view body, bool keep_alive);
   void flush_out(std::uint64_t id);
   void drop_conn(std::uint64_t id);
-  [[nodiscard]] core::MetricsSnapshot snapshot() const;
   [[nodiscard]] core::StatusReport status() const;
 
   // Committer thread.
@@ -266,16 +245,15 @@ class Gateway {
 
   std::atomic<bool> stopping_{false};
 
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> acked_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> errors_{0};
-  std::atomic<std::uint64_t> redirects_{0};
-  std::atomic<std::uint64_t> commit_batches_{0};
-  std::atomic<std::uint64_t> commit_records_{0};
-  std::atomic<std::uint64_t> commit_batch_max_{0};
-
   // Registry cells (runtime's obs::Registry); lock-free record path.
+  obs::Counter& requests_;
+  obs::Counter& acked_;
+  obs::Counter& rejected_;  ///< 429 admission rejections
+  obs::Counter& errors_;    ///< other 4xx/5xx
+  obs::Counter& redirects_;  ///< 307s to an input's post-migration owner
+  obs::Counter& commit_batches_;
+  obs::Counter& commit_records_;
+  obs::Gauge& commit_batch_max_;
   obs::Histogram& ack_latency_;
   obs::Histogram& batch_size_;
 };

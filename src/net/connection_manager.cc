@@ -16,7 +16,40 @@ namespace {
 constexpr std::chrono::seconds kPendingHelloTimeout{5};
 }  // namespace
 
-ConnectionManager::ConnectionManager(Options options, FrameHandler on_frame,
+ConnectionManager::Metrics::Metrics(obs::Registry& registry)
+    : bytes_in(registry.counter("tart_net_bytes_in_total",
+                                "Bytes received from peer nodes")),
+      bytes_out(registry.counter("tart_net_bytes_out_total",
+                                 "Bytes sent to peer nodes")),
+      frames_in(registry.counter("tart_net_frames_in_total",
+                                 "Transport frames received from peer nodes")),
+      frames_out(registry.counter("tart_net_frames_out_total",
+                                  "Transport frames sent to peer nodes")),
+      msgs_in(registry.counter(
+          "tart_net_msgs_in_total",
+          "Non-frame peer messages received (placement/stream/cover)")),
+      msgs_out(registry.counter(
+          "tart_net_msgs_out_total",
+          "Non-frame peer messages sent (placement/stream/cover)")),
+      connects(registry.counter(
+          "tart_net_connects_total",
+          "Peer link-up transitions, the first included")),
+      reconnects(registry.counter("tart_net_reconnects_total",
+                                  "Peer connection re-establishments")),
+      heartbeat_misses(registry.counter("tart_net_heartbeat_misses_total",
+                                        "Peer liveness timeouts")),
+      frames_refused(registry.counter(
+          "tart_net_frames_refused_total",
+          "Frames dropped by backpressure or link-down")),
+      decode_errors(registry.counter(
+          "tart_net_decode_errors_total",
+          "Malformed inbound peer data (the connection is dropped)")),
+      queue_high_water(registry.gauge(
+          "tart_net_queue_high_water",
+          "Max frames ever queued to any one peer")) {}
+
+ConnectionManager::ConnectionManager(Options options, obs::Registry& registry,
+                                     FrameHandler on_frame,
                                      LinkHandler on_link,
                                      MessageHandler on_message,
                                      HelloInfoHandler on_hello,
@@ -27,7 +60,8 @@ ConnectionManager::ConnectionManager(Options options, FrameHandler on_frame,
       on_message_(std::move(on_message)),
       on_hello_(std::move(on_hello)),
       hello_fn_(std::move(hello_fn)),
-      jitter_(options_.tuning.jitter_seed) {
+      jitter_(options_.tuning.jitter_seed),
+      metrics_(registry) {
   for (const auto& [name, addr_spec] : options_.peers) {
     if (name == options_.node) continue;
     auto peer = std::make_unique<Peer>();
@@ -84,20 +118,20 @@ bool ConnectionManager::queue_toward(const std::string& peer_name,
   if (shut_down_.load()) return false;
   const auto it = peers_.find(peer_name);
   if (it == peers_.end()) {
-    counters_.frames_refused.fetch_add(1);
+    metrics_.frames_refused.inc();
     return false;
   }
   Peer* peer = it->second.get();
   if (!peer->up.load() ||
       peer->queued_frames.load() >= options_.tuning.max_queued_frames) {
-    counters_.frames_refused.fetch_add(1);
+    metrics_.frames_refused.inc();
     return false;
   }
   peer->queued_frames.fetch_add(1);
   loop_.post([this, peer, kind, bytes = std::move(bytes)]() mutable {
     if (!peer->fd.valid() || !peer->up.load()) {
       peer->queued_frames.fetch_sub(1);
-      counters_.frames_refused.fetch_add(1);
+      metrics_.frames_refused.inc();
       return;
     }
     enqueue_bytes(*peer, std::move(bytes), kind);
@@ -122,23 +156,6 @@ bool ConnectionManager::send_message(const std::string& peer_name,
 bool ConnectionManager::peer_up(const std::string& peer_name) const {
   const auto it = peers_.find(peer_name);
   return it != peers_.end() && it->second->up.load();
-}
-
-NetCounters ConnectionManager::counters() const {
-  NetCounters c;
-  c.bytes_in = counters_.bytes_in.load();
-  c.bytes_out = counters_.bytes_out.load();
-  c.frames_in = counters_.frames_in.load();
-  c.frames_out = counters_.frames_out.load();
-  c.msgs_in = counters_.msgs_in.load();
-  c.msgs_out = counters_.msgs_out.load();
-  c.connects = counters_.connects.load();
-  c.reconnects = counters_.reconnects.load();
-  c.heartbeat_misses = counters_.heartbeat_misses.load();
-  c.frames_refused = counters_.frames_refused.load();
-  c.decode_errors = counters_.decode_errors.load();
-  c.queue_high_water = counters_.queue_high_water.load();
-  return c;
 }
 
 // --- loop-thread machinery ---------------------------------------------------
@@ -179,7 +196,7 @@ void ConnectionManager::on_pending_ready(int fd, unsigned events) {
   for (;;) {
     const auto n = ::read(fd, buf, sizeof(buf));
     if (n > 0) {
-      counters_.bytes_in.fetch_add(static_cast<std::uint64_t>(n));
+      metrics_.bytes_in.inc(static_cast<std::uint64_t>(n));
       conn.decoder.feed(buf, static_cast<std::size_t>(n));
       continue;
     }
@@ -191,13 +208,13 @@ void ConnectionManager::on_pending_ready(int fd, unsigned events) {
   try {
     msg = conn.decoder.next();
   } catch (const std::exception&) {
-    counters_.decode_errors.fetch_add(1);
+    metrics_.decode_errors.inc();
     close_pending();
     return;
   }
   if (!msg) return;  // need more bytes
   if (msg->type != NetMsgType::kHello) {
-    counters_.decode_errors.fetch_add(1);
+    metrics_.decode_errors.inc();
     close_pending();
     return;
   }
@@ -205,7 +222,7 @@ void ConnectionManager::on_pending_ready(int fd, unsigned events) {
   try {
     hello = HelloBody::decode(msg->payload);
   } catch (const std::exception&) {
-    counters_.decode_errors.fetch_add(1);
+    metrics_.decode_errors.inc();
     close_pending();
     return;
   }
@@ -312,8 +329,8 @@ void ConnectionManager::mark_up(Peer& peer) {
   if (peer.up.load()) return;
   peer.up.store(true);
   peer.backoff_exp = 0;
-  counters_.connects.fetch_add(1);
-  if (peer.ever_up) counters_.reconnects.fetch_add(1);
+  metrics_.connects.inc();
+  if (peer.ever_up) metrics_.reconnects.inc();
   peer.ever_up = true;
   if (on_link_) on_link_(peer.name, /*up=*/true);
 }
@@ -368,7 +385,7 @@ void ConnectionManager::handle_readable(Peer& peer) {
   for (;;) {
     const auto n = ::read(peer.fd.get(), buf, sizeof(buf));
     if (n > 0) {
-      counters_.bytes_in.fetch_add(static_cast<std::uint64_t>(n));
+      metrics_.bytes_in.inc(static_cast<std::uint64_t>(n));
       // feed() copies the kernel's bytes into the decoder's staging buffer
       // — the inbound copy the zero-copy refactor wants to erase.
       TART_PROF_BYTES("net.envelope_in", n);
@@ -387,7 +404,7 @@ void ConnectionManager::handle_readable(Peer& peer) {
     try {
       msg = peer.decoder.next();
     } catch (const std::exception& e) {
-      counters_.decode_errors.fetch_add(1);
+      metrics_.decode_errors.inc();
       TART_WARN_EVERY_N(100) << "net: dropping '" << peer.name
                              << "': malformed inbound data: " << e.what();
       drop_connection(peer, "decode error");
@@ -406,7 +423,7 @@ void ConnectionManager::handle_message(Peer& peer, NetMessage msg) {
       try {
         hello = HelloBody::decode(msg.payload);
       } catch (const std::exception&) {
-        counters_.decode_errors.fetch_add(1);
+        metrics_.decode_errors.inc();
         drop_connection(peer, "bad hello");
         return;
       }
@@ -429,13 +446,13 @@ void ConnectionManager::handle_message(Peer& peer, NetMessage msg) {
       try {
         frame = decode_frame_payload(msg.payload);
       } catch (const std::exception& e) {
-        counters_.decode_errors.fetch_add(1);
+        metrics_.decode_errors.inc();
         TART_WARN_EVERY_N(100) << "net: bad frame from '" << peer.name
                                << "': " << e.what();
         drop_connection(peer, "bad frame");
         return;
       }
-      counters_.frames_in.fetch_add(1);
+      metrics_.frames_in.inc();
       if (on_frame_) on_frame_(peer.name, std::move(frame));
       return;
     }
@@ -444,11 +461,11 @@ void ConnectionManager::handle_message(Peer& peer, NetMessage msg) {
       // connection as opaque messages; without a handler installed the type
       // is unexpected and connection-fatal (the pre-placement behavior).
       if (on_message_) {
-        counters_.msgs_in.fetch_add(1);
+        metrics_.msgs_in.inc();
         on_message_(peer.name, std::move(msg));
         return;
       }
-      counters_.decode_errors.fetch_add(1);
+      metrics_.decode_errors.inc();
       drop_connection(peer, "unexpected message type");
   }
 }
@@ -463,11 +480,8 @@ void ConnectionManager::enqueue_bytes(Peer& peer, std::vector<std::byte> bytes,
   buf.kind = kind;
   peer.outq.push_back(std::move(buf));
   if (kind != Peer::OutKind::kControl) {
-    const std::uint64_t depth = peer.queued_frames.load();
-    std::uint64_t hwm = counters_.queue_high_water.load();
-    while (depth > hwm &&
-           !counters_.queue_high_water.compare_exchange_weak(hwm, depth)) {
-    }
+    metrics_.queue_high_water.max_with(
+        static_cast<std::int64_t>(peer.queued_frames.load()));
   }
   flush_writes(peer);
 }
@@ -491,14 +505,14 @@ void ConnectionManager::flush_writes(Peer& peer) {
       drop_connection(peer, "write error");
       return;
     }
-    counters_.bytes_out.fetch_add(static_cast<std::uint64_t>(n));
+    metrics_.bytes_out.inc(static_cast<std::uint64_t>(n));
     front.offset += static_cast<std::size_t>(n);
     if (front.offset < front.bytes.size()) break;  // kernel buffer full
     if (front.kind != Peer::OutKind::kControl) {
       if (front.kind == Peer::OutKind::kFrame) {
-        counters_.frames_out.fetch_add(1);
+        metrics_.frames_out.inc();
       } else {
-        counters_.msgs_out.fetch_add(1);
+        metrics_.msgs_out.inc();
       }
       peer.queued_frames.fetch_sub(1);
     }
@@ -522,7 +536,7 @@ void ConnectionManager::heartbeat_tick() {
   for (auto& [name, peer] : peers_) {
     if (!peer->fd.valid() || peer->connecting) continue;
     if (now - peer->last_recv > dead_after) {
-      counters_.heartbeat_misses.fetch_add(1);
+      metrics_.heartbeat_misses.inc();
       TART_WARN_EVERY_N(10) << "net: peer '" << name << "' silent for "
                             << options_.tuning.heartbeat_miss_limit
                             << " heartbeat intervals; declaring link down";

@@ -39,6 +39,7 @@
 #include "net/event_loop.h"
 #include "net/socket.h"
 #include "net/wire_format.h"
+#include "obs/registry.h"
 #include "transport/frame.h"
 
 namespace tart::net {
@@ -53,22 +54,6 @@ struct NetTuning {
   std::size_t max_queued_frames = 4096;
   /// Seed for backoff jitter (deterministic per process).
   std::uint64_t jitter_seed = 0x7EA7;
-};
-
-/// Aggregate counters over every peer connection (monotone).
-struct NetCounters {
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-  std::uint64_t frames_in = 0;   ///< transport frames (not heartbeats/hellos)
-  std::uint64_t frames_out = 0;
-  std::uint64_t msgs_in = 0;   ///< non-frame peer messages (placement/stream)
-  std::uint64_t msgs_out = 0;
-  std::uint64_t connects = 0;    ///< link-up transitions, first included
-  std::uint64_t reconnects = 0;  ///< link-up transitions after a down
-  std::uint64_t heartbeat_misses = 0;
-  std::uint64_t frames_refused = 0;  ///< send() rejections (down/full)
-  std::uint64_t decode_errors = 0;   ///< malformed inbound data -> conn drop
-  std::uint64_t queue_high_water = 0;  ///< max frames queued to any peer
 };
 
 class ConnectionManager {
@@ -103,8 +88,11 @@ class ConnectionManager {
     NetTuning tuning;
   };
 
-  ConnectionManager(Options options, FrameHandler on_frame,
-                    LinkHandler on_link, MessageHandler on_message = nullptr,
+  /// Counts into `registry` (the tart_net_* families, summed over every
+  /// peer connection); it must outlive the manager.
+  ConnectionManager(Options options, obs::Registry& registry,
+                    FrameHandler on_frame, LinkHandler on_link,
+                    MessageHandler on_message = nullptr,
                     HelloInfoHandler on_hello = nullptr,
                     HelloFn hello_fn = nullptr);
   ~ConnectionManager();
@@ -132,8 +120,6 @@ class ConnectionManager {
   /// threading contract: add_timer/cancel_timer only from the loop thread
   /// (post() to get there); callbacks must never block.
   [[nodiscard]] EventLoop& loop() { return loop_; }
-
-  [[nodiscard]] NetCounters counters() const;
 
   /// Stops the loop thread and closes every socket. Idempotent.
   void shutdown();
@@ -216,15 +202,23 @@ class ConnectionManager {
 
   Rng jitter_;  // loop thread only
 
-  struct Counters {
-    std::atomic<std::uint64_t> bytes_in{0}, bytes_out{0};
-    std::atomic<std::uint64_t> frames_in{0}, frames_out{0};
-    std::atomic<std::uint64_t> msgs_in{0}, msgs_out{0};
-    std::atomic<std::uint64_t> connects{0}, reconnects{0};
-    std::atomic<std::uint64_t> heartbeat_misses{0}, frames_refused{0};
-    std::atomic<std::uint64_t> decode_errors{0}, queue_high_water{0};
+  /// Registry cells; relaxed adds from the loop and sender threads.
+  struct Metrics {
+    explicit Metrics(obs::Registry& registry);
+    obs::Counter& bytes_in;
+    obs::Counter& bytes_out;
+    obs::Counter& frames_in;  ///< transport frames (not heartbeats/hellos)
+    obs::Counter& frames_out;
+    obs::Counter& msgs_in;  ///< non-frame peer messages (placement/stream)
+    obs::Counter& msgs_out;
+    obs::Counter& connects;    ///< link-up transitions, first included
+    obs::Counter& reconnects;  ///< link-up transitions after a down
+    obs::Counter& heartbeat_misses;
+    obs::Counter& frames_refused;  ///< send() rejections (down/full)
+    obs::Counter& decode_errors;   ///< malformed inbound data -> conn drop
+    obs::Gauge& queue_high_water;  ///< max frames queued to any peer
   };
-  Counters counters_;
+  Metrics metrics_;
 
   std::atomic<bool> shut_down_{false};
   std::thread thread_;

@@ -114,7 +114,7 @@ void NetHost::start() {
   // stack and conn_ is not yet assigned. Park such early callbacks on the
   // latch until the host is actually wired up.
   conn_ = std::make_unique<ConnectionManager>(
-      std::move(conn_options),
+      std::move(conn_options), runtime_->registry(),
       [this](const std::string& peer, transport::Frame frame) {
         conn_ready_.wait(false);
         on_peer_frame(peer, std::move(frame));
@@ -187,9 +187,6 @@ void NetHost::start() {
     gw_options.exemplars = options_.http_exemplars;
     gateway::Gateway::Host host;
     host.node = self_->name;
-    // The gateway adds its own counters; it may serve a request before
-    // gateway_ is assigned, so its hook must not read gateway_.
-    host.metrics = [this] { return metrics_without_gateway(); };
     host.status = [this] { return status_with_placement(); };
     host.shutdown = [this] { request_shutdown(); };
     host.redirect = [this](const std::string& name) {
@@ -252,42 +249,6 @@ int NetHost::run_until_shutdown() {
 
 void NetHost::request_shutdown() { shutdown_requested_.store(true); }
 
-core::MetricsSnapshot NetHost::metrics() const {
-  core::MetricsSnapshot total = metrics_without_gateway();
-  if (gateway_) gateway_->fill(total);
-  return total;
-}
-
-core::MetricsSnapshot NetHost::metrics_without_gateway() const {
-  core::MetricsSnapshot total = runtime_->total_metrics();
-  if (conn_) {
-    const NetCounters c = conn_->counters();
-    total.net_bytes_in = c.bytes_in;
-    total.net_bytes_out = c.bytes_out;
-    total.net_frames_in = c.frames_in;
-    total.net_frames_out = c.frames_out;
-    total.net_reconnects = c.reconnects;
-    total.net_heartbeat_misses = c.heartbeat_misses;
-    total.net_frames_refused = c.frames_refused;
-    total.net_queue_high_water = c.queue_high_water;
-    total.net_msgs_in = c.msgs_in;
-    total.net_msgs_out = c.msgs_out;
-  }
-  if (coordinator_) {
-    const placement::MigrationCounters m = coordinator_->counters();
-    total.mig_started = m.started;
-    total.mig_completed = m.completed;
-    total.mig_failed = m.failed;
-    total.mig_adopted = m.adopted;
-    total.mig_evicted = m.evicted;
-    total.mig_bytes_sent = m.bytes_sent;
-    total.mig_bytes_received = m.bytes_received;
-    total.mig_updates_applied = m.updates_applied;
-  }
-  total.retention_trimmed_records = runtime_->retention_trimmed();
-  return total;
-}
-
 // --- Observers --------------------------------------------------------------
 
 void NetHost::gauge_sweep() {
@@ -319,18 +280,7 @@ void NetHost::gauge_sweep() {
               {{"input", name}})
         .set(static_cast<std::int64_t>(elog.size(wire)));
   }
-  reg.gauge("tart_external_log_messages_total",
-            "Total external input messages retained in the replay log.")
-      .set(static_cast<std::int64_t>(elog.total_size()));
-  if (log::SegmentedStore* seg = runtime_->segment_store()) {
-    reg.gauge("tart_log_segment_files",
-              "External-log segment files currently on disk.")
-        .set(static_cast<std::int64_t>(seg->segment_count()));
-    reg.gauge("tart_log_disk_bytes",
-              "Bytes the segmented external log occupies on disk.")
-        .set(static_cast<std::int64_t>(seg->bytes_on_disk()));
-  }
-  runtime_->harvest_memory_gauges();
+  runtime_->harvest_telemetry();
   // Fold the hot-path profiler's thread-local accumulators into tart_prof_*
   // cells: they ship in GET /obs and render in /metrics like any other
   // sample.
@@ -379,7 +329,8 @@ void NetHost::push_loop() {
           options_.push_addr, std::chrono::milliseconds(500));
     if (!client) continue;  // collector down; redial next tick
     try {
-      const obs::NodeReport report{self_->name, metrics(),
+      runtime_->harvest_telemetry();
+      const obs::NodeReport report{self_->name,
                                    runtime_->registry().samples(),
                                    status_with_placement()};
       const std::vector<std::byte> body = report.encode();

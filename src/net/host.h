@@ -101,9 +101,6 @@ class NetHost {
   [[nodiscard]] placement::MigrationCoordinator& coordinator() {
     return *coordinator_;
   }
-  /// Runtime totals merged with the socket-transport, placement and
-  /// gateway counters.
-  [[nodiscard]] core::MetricsSnapshot metrics() const;
   [[nodiscard]] std::uint16_t data_port() const {
     return conn_ ? conn_->listen_port() : 0;
   }
@@ -128,14 +125,13 @@ class NetHost {
   /// now, or nullopt when that is this node (gateway 307 redirects).
   [[nodiscard]] std::optional<std::string> redirect_for(
       const std::string& name);
-  /// metrics() minus the gateway's own counters.
-  [[nodiscard]] core::MetricsSnapshot metrics_without_gateway() const;
   /// Status report with the placement-plane fields filled in.
   [[nodiscard]] core::StatusReport status_with_placement();
 
   /// Loop-thread only: one gauge sweep (wire queue depths, retention
-  /// buffers, external-log sizes) into the runtime's registry, then
-  /// re-arms itself. Stops re-arming once stopping_ is set.
+  /// buffers, per-input external-log sizes, the runtime's harvest and the
+  /// profiler's) into the runtime's registry, then re-arms itself. Stops
+  /// re-arming once stopping_ is set.
   void gauge_sweep();
   /// Synchronously cancels the gauge timer on the loop thread (so no sweep
   /// can be mid-flight when the runtime starts stopping).

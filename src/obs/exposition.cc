@@ -9,7 +9,6 @@
 #include <set>
 #include <unordered_map>
 
-#include "core/metrics.h"
 #include "core/status.h"
 
 namespace tart::obs {
@@ -88,18 +87,6 @@ void append_labels(std::string& out, const Labels& labels,
     out += '"';
   }
   out += '}';
-}
-
-void append_scalar_family(std::string& out, const char* name, const char* help,
-                          const char* type, double scale, std::uint64_t value) {
-  append_header(out, name, help, type);
-  out += name;
-  out += ' ';
-  if (scale == 1.0)
-    out += std::to_string(value);
-  else
-    append_double(out, static_cast<double>(value) * scale);
-  out += '\n';
 }
 
 void append_sample_line(std::string& out, const std::string& name,
@@ -259,20 +246,8 @@ std::string render_prometheus_samples(const std::vector<Sample>& samples,
   return out;
 }
 
-std::string render_prometheus(const core::MetricsSnapshot& snap,
-                              const Registry& registry,
-                              bool with_exemplars) {
-#define TART_OBS_TYPE_SUM "counter"
-#define TART_OBS_TYPE_MAX "gauge"
-  std::string out;
-#define TART_OBS_EMIT(field, prom, help, agg, scale) \
-  append_scalar_family(out, prom, help, TART_OBS_TYPE_##agg, scale, snap.field);
-  TART_METRICS_GLOBAL_FIELDS(TART_OBS_EMIT)
-#undef TART_OBS_EMIT
-#undef TART_OBS_TYPE_SUM
-#undef TART_OBS_TYPE_MAX
-  out += render_prometheus_samples(registry.samples(), with_exemplars);
-  return out;
+std::string render_prometheus(const Registry& registry, bool with_exemplars) {
+  return render_prometheus_samples(registry.samples(), with_exemplars);
 }
 
 // --- Lint -------------------------------------------------------------------
@@ -340,9 +315,12 @@ std::optional<std::string> lint_exposition(const std::string& text) {
           if (type != "counter" && type != "gauge" && type != "summary" &&
               type != "histogram" && type != "untyped")
             return fail("unknown TYPE '" + type + "'");
-          if (type == "counter" && !ends_with(family, "_total"))
-            return fail("counter family '" + family +
-                        "' does not end in _total");
+          if ((type == "counter") != ends_with(family, "_total"))
+            return fail(type == "counter"
+                            ? "counter family '" + family +
+                                  "' does not end in _total"
+                            : type + " family '" + family +
+                                  "' ends in _total, which is for counters");
           if (!type_of.emplace(family, type).second)
             return fail("duplicate TYPE for family '" + family + "'");
         }
@@ -584,18 +562,9 @@ std::string render_status_json(const core::StatusReport& report,
 // --- JSONL series line --------------------------------------------------------
 
 std::string render_series_line(std::int64_t ts_ms,
-                               const core::MetricsSnapshot& snap,
                                const std::vector<Sample>& series) {
-  std::string out = "{\"ts_ms\":" + std::to_string(ts_ms) + ",\"metrics\":{";
+  std::string out = "{\"ts_ms\":" + std::to_string(ts_ms) + ",\"series\":[";
   bool first = true;
-#define TART_OBS_SERIES_FIELD(field, prom, help, agg, scale) \
-  if (!first) out += ',';                                    \
-  first = false;                                             \
-  out += "\"" #field "\":" + std::to_string(snap.field);
-  TART_METRICS_SCALAR_FIELDS(TART_OBS_SERIES_FIELD)
-#undef TART_OBS_SERIES_FIELD
-  out += "},\"series\":[";
-  first = true;
   for (const Sample& s : series) {
     if (!first) out += ',';
     first = false;

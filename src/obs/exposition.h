@@ -5,7 +5,8 @@
 // Conventions enforced here and checked by lint_exposition (which runs in
 // scripts/check.sh against a live scrape):
 //   - every family name starts with `tart_`
-//   - counters end in `_total`; time is exposed in `_seconds` base units
+//   - counters end in `_total`, and only counters do (a gauge or summary
+//     named `*_total` is refused); time is exposed in `_seconds` base units
 //   - every family gets # HELP and # TYPE lines before its samples
 //   - registry histograms render as summaries (quantile="0.5"/"0.99",
 //     _sum, _count) plus a separate `<name>_max` gauge family
@@ -23,7 +24,6 @@
 #include "obs/registry.h"
 
 namespace tart::core {
-struct MetricsSnapshot;
 struct StatusReport;
 }  // namespace tart::core
 
@@ -33,20 +33,16 @@ namespace tart::obs {
 inline constexpr const char* kPrometheusContentType =
     "text/plain; version=0.0.4";
 
-/// Renders a full exposition page: the snapshot's process-wide scalar
-/// fields plus every registered series (labelled per-component counters,
-/// stall/estimator/gateway histograms). The snapshot's per-component
-/// fields are skipped — the registry carries them as labelled families,
-/// and emitting both would be the two-divergent-counting-paths bug this
-/// module exists to kill.
-[[nodiscard]] std::string render_prometheus(const core::MetricsSnapshot& snap,
-                                            const Registry& registry,
+/// Renders a full exposition page: every registered series (labelled
+/// per-component counters, node-wide counters and gauges, stall/estimator/
+/// gateway histograms), one family per name.
+[[nodiscard]] std::string render_prometheus(const Registry& registry,
                                             bool with_exemplars = false);
 
-/// Renders pre-collected samples only (tart-obs --series, cross-node
-/// merged views where no single MetricsSnapshot applies). Exemplar
-/// rendering is opt-in: plain Prometheus 0.0.4 consumers do not expect
-/// `# {...}` suffixes, so the default output never carries them.
+/// Renders pre-collected samples (a registry readout, or a cross-node
+/// merged view). Exemplar rendering is opt-in: plain Prometheus 0.0.4
+/// consumers do not expect `# {...}` suffixes, so the default output never
+/// carries them.
 [[nodiscard]] std::string render_prometheus_samples(
     const std::vector<Sample>& samples, bool with_exemplars = false);
 
@@ -66,12 +62,10 @@ inline constexpr const char* kPrometheusContentType =
     const core::StatusReport& report,
     const std::vector<Sample>* samples = nullptr);
 
-/// One JSONL time-series line ("{"ts_ms":..,"metrics":{..},"series":[..]}"
-/// plus a newline): the snapshot's scalar fields and every sample, with
-/// histograms reduced to count/p50/p99/max/sum. `tart-obs --series=FILE`
-/// appends one per poll round of GET /obs.
-[[nodiscard]] std::string render_series_line(
-    std::int64_t ts_ms, const core::MetricsSnapshot& snap,
-    const std::vector<Sample>& series);
+/// One JSONL time-series line ("{"ts_ms":..,"series":[..]}" plus a
+/// newline): every sample, with histograms reduced to count/p50/p99/max/sum.
+/// `tart-obs --series=FILE` appends one per poll round of GET /obs.
+[[nodiscard]] std::string render_series_line(std::int64_t ts_ms,
+                                             const std::vector<Sample>& series);
 
 }  // namespace tart::obs

@@ -5,25 +5,6 @@
 namespace tart::obs {
 namespace {
 
-// Fields travel in TART_METRICS_SCALAR_FIELDS declaration order — the same
-// X-macro that defines the struct, so a new field cannot be added without
-// being serialized.
-void encode_metrics(serde::Writer& w, const core::MetricsSnapshot& m) {
-#define TART_OBS_WRITE_FIELD(field, prom, help, agg, scale) \
-  w.write_varint(m.field);
-  TART_METRICS_SCALAR_FIELDS(TART_OBS_WRITE_FIELD)
-#undef TART_OBS_WRITE_FIELD
-}
-
-core::MetricsSnapshot decode_metrics(serde::Reader& r) {
-  core::MetricsSnapshot m;
-#define TART_OBS_READ_FIELD(field, prom, help, agg, scale) \
-  m.field = r.read_varint();
-  TART_METRICS_SCALAR_FIELDS(TART_OBS_READ_FIELD)
-#undef TART_OBS_READ_FIELD
-  return m;
-}
-
 void encode_status(serde::Writer& w, const core::StatusReport& report) {
   w.write_varint(report.components.size());
   for (const core::ComponentStatus& c : report.components) {
@@ -115,7 +96,6 @@ core::StatusReport decode_status(serde::Reader& r) {
 std::vector<std::byte> NodeReport::encode() const {
   serde::Writer w;
   w.write_string(node);
-  encode_metrics(w, metrics);
   encode_samples(w, samples);
   encode_status(w, status);
   return w.take();
@@ -125,7 +105,6 @@ NodeReport NodeReport::decode(const std::byte* data, std::size_t size) {
   serde::Reader r(data, size);
   NodeReport report;
   report.node = r.read_string();
-  report.metrics = decode_metrics(r);
   report.samples = decode_samples(r);
   report.status = decode_status(r);
   if (!r.at_end()) throw serde::DecodeError("obs report: trailing bytes");

@@ -1,15 +1,14 @@
 // One node's full telemetry in one binary document: the GET /obs body.
 //
-// Everything an aggregator needs to merge a fleet exactly — the merged
-// MetricsSnapshot, every registry sample with its full histogram (so
-// percentiles merge bucketwise across nodes, which the summary quantiles
-// in GET /metrics cannot do), and the silence wavefront with placement —
-// attributed to the node that produced it. tart-obs polls it
-// (GET /obs) and receives it (POST /obs, `tart-node --push`) in the same
-// shape, so polled and pushed nodes aggregate identically.
+// Everything an aggregator needs to merge a fleet exactly — every registry
+// sample with its full histogram (so percentiles merge bucketwise across
+// nodes, which the summary quantiles in GET /metrics cannot do), and the
+// silence wavefront with placement — attributed to the node that produced
+// it. tart-obs polls it (GET /obs) and receives it (POST /obs, `tart-node
+// --push`) in the same shape, so polled and pushed nodes aggregate
+// identically.
 //
-// Layout (serde varints, docs/OBSERVABILITY.md): node name, the snapshot
-// scalars in TART_METRICS_SCALAR_FIELDS order, the sample set
+// Layout (serde varints, docs/OBSERVABILITY.md): node name, the sample set
 // (obs::encode_samples), then the status report — components with their
 // input wires, placement epoch, placement entries, in-flight migrations.
 #pragma once
@@ -18,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "core/metrics.h"
 #include "core/status.h"
 #include "obs/registry.h"
 
@@ -30,7 +28,6 @@ inline constexpr const char* kNodeReportContentType =
 
 struct NodeReport {
   std::string node;  ///< partition name ("" for a single-process gateway)
-  core::MetricsSnapshot metrics;
   std::vector<Sample> samples;
   core::StatusReport status;
 

@@ -370,4 +370,24 @@ std::vector<Sample> merge_samples(std::vector<std::vector<Sample>> per_node) {
   return out;
 }
 
+std::uint64_t family_total(const std::vector<Sample>& samples,
+                           std::string_view name) {
+  std::uint64_t total = 0;
+  for (const Sample& s : samples) {
+    if (s.name != name) continue;
+    switch (s.kind) {
+      case Kind::kCounter:
+        total += s.counter_value;
+        break;
+      case Kind::kGauge:
+        total += static_cast<std::uint64_t>(s.gauge_value);
+        break;
+      case Kind::kHistogram:
+        if (s.hist) total += s.hist->count();
+        break;
+    }
+  }
+  return total;
+}
+
 }  // namespace tart::obs

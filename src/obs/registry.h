@@ -13,9 +13,12 @@
 //      times, scheduling decisions) ever reads it. Two seeded runs with
 //      telemetry on or off produce byte-identical flight-recorder traces
 //      (tests/trace_determinism_test.cc holds this line).
-//   3. One counting path. The per-component scheduler counters that used
-//      to live in ad-hoc atomics (core::RunnerMetrics) are registry cells
-//      now; MetricsSnapshot is derived *from* the registry, never
+//   3. One store. Every telemetry number is a registry cell, registered by
+//      whoever counts it (runners, gateway, peer transport, migration
+//      coordinator) or set from the runtime's parts at scrape time
+//      (core::Runtime::harvest_telemetry). Every exporter (GET /metrics,
+//      GET /obs, tart-obs, --series) reads samples() and nothing else;
+//      core::MetricsSnapshot is a typed read *of* the registry, never
 //      maintained beside it.
 //
 // Naming follows Prometheus conventions (docs/OBSERVABILITY.md): `tart_`
@@ -59,8 +62,10 @@ enum class Kind : std::uint8_t { kCounter = 0, kGauge = 1, kHistogram = 2 };
 class Counter {
  public:
   void inc(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  /// Checkpoint restore only: a recovered component resumes its count from
-  /// the restored snapshot instead of re-counting replayed work.
+  /// For checkpoint restore (a recovered component resumes its count from
+  /// the restored snapshot instead of re-counting replayed work) and for
+  /// the scrape-time harvest, which copies in a monotone count that a
+  /// runtime part keeps itself (core::Runtime::harvest_telemetry).
   void set(std::uint64_t v) { v_.store(v, std::memory_order_relaxed); }
   [[nodiscard]] std::uint64_t value() const {
     return v_.load(std::memory_order_relaxed);
@@ -260,5 +265,11 @@ void encode_samples(serde::Writer& w, const std::vector<Sample>& samples);
 /// stats::Histogram::merge). Used by tart-obs.
 [[nodiscard]] std::vector<Sample> merge_samples(
     std::vector<std::vector<Sample>> per_node);
+
+/// The raw (unscaled) value of family `name`: counter or gauge values summed
+/// over its label sets, a histogram's observation count; 0 when absent.
+/// The one way tools and tests read a number out of a sample set.
+[[nodiscard]] std::uint64_t family_total(const std::vector<Sample>& samples,
+                                         std::string_view name);
 
 }  // namespace tart::obs

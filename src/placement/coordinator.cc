@@ -26,6 +26,35 @@ net::PlacementMove move_of(const JournalRecord& r) {
 
 }  // namespace
 
+MigrationCoordinator::Metrics::Metrics(obs::Registry& registry)
+    : started(registry.counter(
+          "tart_mig_started_total",
+          "Live migrations initiated on this node as source")),
+      completed(registry.counter(
+          "tart_mig_completed_total",
+          "Live migrations that reached cutover (source side)")),
+      failed(registry.counter(
+          "tart_mig_failed_total",
+          "Live migrations aborted or rolled back (source side)")),
+      adopted(registry.counter(
+          "tart_mig_adopted_total",
+          "Components adopted by this node as migration target")),
+      evicted(registry.counter(
+          "tart_mig_evicted_total",
+          "Components evicted from this node after cutover")),
+      bytes_sent(registry.counter(
+          "tart_mig_bytes_sent_total",
+          "Checkpoint-slice bytes shipped to migration targets")),
+      bytes_received(registry.counter(
+          "tart_mig_bytes_received_total",
+          "Checkpoint-slice bytes received as migration target")),
+      updates_applied(registry.counter(
+          "tart_mig_updates_applied_total",
+          "Placement updates applied from peers (re-routes)")),
+      recovered_adoptions(registry.counter(
+          "tart_mig_recovered_adoptions_total",
+          "Adoptions re-applied from the migration journal at boot")) {}
+
 MigrationCoordinator::MigrationCoordinator(
     core::Runtime& runtime, EngineId self,
     std::map<ComponentId, EngineId> initial_placement, Options options,
@@ -36,13 +65,14 @@ MigrationCoordinator::MigrationCoordinator(
       cb_(std::move(callbacks)),
       journal_(options_.journal_dir),
       table_(std::move(initial_placement)),
+      metrics_(runtime.registry()),
       receiver_(
           // Completion runs inside on_peer_message with mu_ held.
           [this](const net::StreamOpenBody& open, std::vector<std::byte> blob) {
             auto slice = MigrationSlice::decode(blob);
             if (!slice) return;  // shape mismatch; sender will time out
             const std::uint64_t e = slice->epoch;
-            counters_.bytes_received += blob.size();
+            metrics_.bytes_received.inc(blob.size());
             if (journal_.durable()) {
               (void)MigrationJournal::write_slice_file(
                   MigrationJournal::slice_path(options_.journal_dir,
@@ -124,7 +154,7 @@ void MigrationCoordinator::recover_from_journal() {
     }
     std::string err;
     if (runtime_.adopt_component(c, self_, plan, inputs, &err)) {
-      ++counters_.recovered_adoptions;
+      metrics_.recovered_adoptions.inc();
       runtime_.apply_placement(c, self_);
       if (cb_.on_ownership_changed) cb_.on_ownership_changed(c, true);
     }
@@ -166,7 +196,7 @@ MigrationResult MigrationCoordinator::migrate(ComponentId component,
 
   const std::uint64_t epoch = table_.epoch() + 1;
   res.epoch = epoch;
-  ++counters_.started;
+  metrics_.started.inc();
   source_.emplace();
   source_->epoch = epoch;
   source_->component = component;
@@ -177,7 +207,7 @@ MigrationResult MigrationCoordinator::migrate(ComponentId component,
                              self_, to};
   if (!journal_or_fail(intent, &res.error)) {
     source_.reset();
-    ++counters_.failed;
+    metrics_.failed.inc();
     return res;
   }
   pending_intents_[component.value()] = intent;
@@ -188,7 +218,7 @@ MigrationResult MigrationCoordinator::migrate(ComponentId component,
     journal_.append({JournalRecordKind::kAbort, epoch, component, self_, to});
     pending_intents_.erase(component.value());
     source_.reset();
-    ++counters_.failed;
+    metrics_.failed.inc();
     res.error = std::move(why);
     return res;
   };
@@ -250,7 +280,7 @@ MigrationResult MigrationCoordinator::migrate(ComponentId component,
   if (delta_ckpt_ok) sealed = runtime_.evict_component(component, to);
   if (cb_.on_ownership_changed) cb_.on_ownership_changed(component, false);
   lk.lock();
-  ++counters_.evicted;
+  metrics_.evicted.inc();
   table_.apply(net::PlacementMove{component.value(), to.value(), epoch});
 
   const auto rollback_to_local = [&](std::string why) {
@@ -271,7 +301,7 @@ MigrationResult MigrationCoordinator::migrate(ComponentId component,
     broadcast_update_locked(back, {net::PlacementMove{component.value(),
                                                       self_.value(), back}});
     source_.reset();
-    ++counters_.failed;
+    metrics_.failed.inc();
     res.error = std::move(why);
     lk.unlock();
     if (cb_.on_ownership_changed) cb_.on_ownership_changed(component, true);
@@ -335,7 +365,7 @@ MigrationResult MigrationCoordinator::migrate(ComponentId component,
   broadcast_update_locked(epoch, commit.moves);
   res.blackout_ms = ms_since(seal_t0);
   res.ok = true;
-  ++counters_.completed;
+  metrics_.completed.inc();
   source_.reset();
   return res;
 }
@@ -382,7 +412,7 @@ void MigrationCoordinator::pump_sender_locked(
   (void)lk;
   if (!source_ || !source_->sender || !source_->peer_up) return;
   while (auto m = source_->sender->next_message()) {
-    counters_.bytes_sent += m->payload.size();
+    metrics_.bytes_sent.inc(m->payload.size());
     if (!cb_.send(source_->to, std::move(*m))) {
       source_->peer_up = false;
       return;
@@ -499,7 +529,7 @@ bool MigrationCoordinator::adopt_staged(std::uint64_t epoch, EngineId from,
       delta ? std::move(delta->plan) : std::move(bulk->plan);
   if (!runtime_.adopt_component(c, self_, plan, inputs, error)) return false;
   table_.apply(net::PlacementMove{c.value(), self_.value(), epoch});
-  ++counters_.adopted;
+  metrics_.adopted.inc();
   if (bulk_it != staged_bulk_.end()) staged_bulk_.erase(bulk_it);
   if (delta_it != staged_delta_.end()) staged_delta_.erase(delta_it);
   if (cb_.on_ownership_changed) cb_.on_ownership_changed(c, true);
@@ -610,7 +640,7 @@ void MigrationCoordinator::apply_remote_moves_locked(
     }
     const bool was_local = table_.engine_of(c) == self_;
     if (!table_.apply(m)) continue;  // stale epoch
-    ++counters_.updates_applied;
+    metrics_.updates_applied.inc();
     if (!resolved_intent)
       journal_.append({JournalRecordKind::kApplied, m.epoch, c,
                        EngineId::invalid(), eng});
@@ -626,7 +656,7 @@ void MigrationCoordinator::apply_remote_moves_locked(
       const bool ok = runtime_.adopt_component(c, self_, plan, {}, &err);
       if (ok && cb_.on_ownership_changed) cb_.on_ownership_changed(c, true);
       lk.lock();
-      if (ok) ++counters_.recovered_adoptions;
+      if (ok) metrics_.recovered_adoptions.inc();
     } else {
       runtime_.apply_placement(c, eng);
     }
@@ -639,7 +669,7 @@ void MigrationCoordinator::evict_local_locked(ComponentId c,
   for (const auto& s : sealed)
     runtime_.to_receiver(
         s.wire, transport::SilenceFrame{s.wire, s.horizon, s.next_seq});
-  ++counters_.evicted;
+  metrics_.evicted.inc();
   if (cb_.on_ownership_changed) cb_.on_ownership_changed(c, false);
 }
 
@@ -703,11 +733,6 @@ std::vector<MigrationInfo> MigrationCoordinator::inflight() const {
     }
   }
   return out;
-}
-
-MigrationCounters MigrationCoordinator::counters() const {
-  const std::lock_guard<std::mutex> lk(mu_);
-  return counters_;
 }
 
 std::size_t MigrationCoordinator::pending_intents() const {

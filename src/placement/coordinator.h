@@ -80,18 +80,6 @@ struct MigrationInfo {
   std::string stage;  ///< prepare|transfer|delta|cutover|staged|adopt
 };
 
-struct MigrationCounters {
-  std::uint64_t started = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t adopted = 0;
-  std::uint64_t evicted = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t bytes_received = 0;
-  std::uint64_t updates_applied = 0;
-  std::uint64_t recovered_adoptions = 0;  ///< adoptions replayed from journal
-};
-
 class MigrationCoordinator {
  public:
   struct Callbacks {
@@ -149,7 +137,6 @@ class MigrationCoordinator {
   [[nodiscard]] EngineId engine_of(ComponentId c) const;
   [[nodiscard]] std::map<ComponentId, EngineId> placement_snapshot() const;
   [[nodiscard]] std::vector<MigrationInfo> inflight() const;
-  [[nodiscard]] MigrationCounters counters() const;
   /// Unresolved source-side intents (ownership in doubt until a peer's
   /// override or an explicit abort resolves them).
   [[nodiscard]] std::size_t pending_intents() const;
@@ -194,7 +181,21 @@ class MigrationCoordinator {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   PlacementTable table_;
-  MigrationCounters counters_;
+
+  /// The tart_mig_* families in the runtime's registry.
+  struct Metrics {
+    explicit Metrics(obs::Registry& registry);
+    obs::Counter& started;
+    obs::Counter& completed;
+    obs::Counter& failed;
+    obs::Counter& adopted;
+    obs::Counter& evicted;
+    obs::Counter& bytes_sent;
+    obs::Counter& bytes_received;
+    obs::Counter& updates_applied;
+    obs::Counter& recovered_adoptions;  ///< adoptions replayed from journal
+  };
+  Metrics metrics_;
 
   // Source-side in-flight state (one migration at a time per source).
   struct SourceMigration {

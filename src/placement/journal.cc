@@ -31,7 +31,11 @@ std::vector<std::byte> encode_record(const JournalRecord& r) {
 JournalRecord decode_record(const std::vector<std::byte>& payload) {
   serde::Reader r(payload);
   JournalRecord rec;
-  rec.kind = static_cast<JournalRecordKind>(r.read_u8());
+  const std::uint8_t kind = r.read_u8();
+  if (kind < static_cast<std::uint8_t>(JournalRecordKind::kIntent) ||
+      kind > static_cast<std::uint8_t>(JournalRecordKind::kApplied))
+    throw serde::DecodeError("unknown journal record kind");
+  rec.kind = static_cast<JournalRecordKind>(kind);
   rec.epoch = r.read_varint();
   rec.component = ComponentId(r.read_u32());
   rec.from = EngineId(r.read_u32());

@@ -16,8 +16,8 @@
 // harvests tart_prof_* cells).
 //
 // The default mode polls every node's GET /obs (obs/node_report.h): its
-// merged MetricsSnapshot, its telemetry registry samples (labelled counters
-// and full histograms), and its silence wavefront with placement, then
+// telemetry registry samples (labelled counters, node-wide counters and
+// gauges, full histograms) and its silence wavefront with placement, then
 // prints one aggregated per-component table: messages processed, pessimism
 // events, stall percentiles (all input wires of the component merged),
 // curiosity probes, and the estimator-error median. Components currently
@@ -28,8 +28,9 @@
 // live migration in flight (docs/PLACEMENT.md).
 //
 // Counters SUM across nodes, gauges take the max (high-water semantics),
-// and histograms merge bucketwise (obs::merge_samples), so the table reads
-// the same whether the deployment is one process or ten.
+// and histograms merge bucketwise (obs::merge_samples), so the table and
+// the durability line read the same whether the deployment is one process
+// or ten.
 //
 // An unreachable node is a per-round `down` row, not a fatal error: a
 // console must keep rendering the nodes that ARE up while one restarts.
@@ -42,8 +43,8 @@
 // double-counted, so point --push at nodes the console does not poll.
 //
 // --series=FILE appends one JSONL line per poll round of GET /obs
-// (obs::render_series_line: merged scalars plus every series, histograms
-// as count/p50/p99/max/sum) for offline plotting — the one file exporter.
+// (obs::render_series_line: every merged series, histograms as
+// count/p50/p99/max/sum) for offline plotting — the one file exporter.
 //
 // --scrape mode is a health gate: GET /metrics must lint clean against the
 // Prometheus conventions (obs::lint_exposition) and contain the per-wire
@@ -80,7 +81,6 @@
 namespace {
 
 using tart::core::ComponentStatus;
-using tart::core::MetricsSnapshot;
 using tart::core::StatusReport;
 using tart::core::WireStatus;
 using tart::obs::NodeReport;
@@ -425,25 +425,28 @@ void print_placement(
 /// One fleet-wide durability line: checkpoints taken, checkpoint-gated
 /// compaction progress, and what the last restarts skipped vs replayed.
 /// Prints nothing while every counter is zero (durability off everywhere).
-void print_durability(const MetricsSnapshot& m) {
-  if (m.ckpt_written + m.ckpt_failed + m.ckpt_skipped_invalid +
-          m.log_segments + m.restart_covered_records +
-          m.restart_suffix_records ==
+void print_durability(const std::vector<tart::obs::Sample>& merged) {
+  const auto v = [&merged](const char* family) {
+    return static_cast<unsigned long long>(
+        tart::obs::family_total(merged, family));
+  };
+  if (v("tart_ckpt_written_total") + v("tart_ckpt_failed_total") +
+          v("tart_ckpt_skipped_invalid_total") + v("tart_log_segments") +
+          v("tart_restart_covered_records") +
+          v("tart_restart_suffix_records") ==
       0)
     return;
   std::printf(
       "durability: ckpts=%llu (failed=%llu skipped=%llu, %.1f KB) "
       "log=%llu segs/%.1f KB reclaimed=%llu | restart covered=%llu "
       "suffix=%llu\n",
-      static_cast<unsigned long long>(m.ckpt_written),
-      static_cast<unsigned long long>(m.ckpt_failed),
-      static_cast<unsigned long long>(m.ckpt_skipped_invalid),
-      static_cast<double>(m.ckpt_bytes) / 1024.0,
-      static_cast<unsigned long long>(m.log_segments),
-      static_cast<double>(m.log_bytes_on_disk) / 1024.0,
-      static_cast<unsigned long long>(m.log_records_reclaimed),
-      static_cast<unsigned long long>(m.restart_covered_records),
-      static_cast<unsigned long long>(m.restart_suffix_records));
+      v("tart_ckpt_written_total"), v("tart_ckpt_failed_total"),
+      v("tart_ckpt_skipped_invalid_total"),
+      static_cast<double>(v("tart_ckpt_bytes_total")) / 1024.0,
+      v("tart_log_segments"),
+      static_cast<double>(v("tart_log_disk_bytes")) / 1024.0,
+      v("tart_log_records_reclaimed_total"), v("tart_restart_covered_records"),
+      v("tart_restart_suffix_records"));
 }
 
 /// Ingest-to-output latency rollup (docs/TRACING.md "Request lineage"):
@@ -635,7 +638,6 @@ int run_console_mode(const std::vector<std::string>& addrs, bool once,
     if (!first) std::printf("\n");
     first = false;
 
-    MetricsSnapshot total;
     std::vector<std::vector<tart::obs::Sample>> per_node;
     std::vector<std::pair<std::string, StatusReport>> reports;
     std::vector<std::string> down;
@@ -643,7 +645,6 @@ int run_console_mode(const std::vector<std::string>& addrs, bool once,
     // Each node is labelled by its partition name (its address when it
     // reports none).
     const auto add = [&](NodeReport report, const std::string& addr) {
-      total += report.metrics;
       per_node.push_back(std::move(report.samples));
       reports.emplace_back(report.node.empty() ? addr : report.node,
                            std::move(report.status));
@@ -690,7 +691,7 @@ int run_console_mode(const std::vector<std::string>& addrs, bool once,
     for (const std::string& addr : down)
       std::printf("  %-24s down\n", addr.c_str());
     print_rows(build_rows(merged));
-    print_durability(total);
+    print_durability(merged);
     print_latency(merged);
     std::printf("wavefront:\n");
     print_wavefront(reports);
@@ -701,7 +702,7 @@ int run_console_mode(const std::vector<std::string>& addrs, bool once,
                              std::chrono::system_clock::now().time_since_epoch())
                              .count();
       const std::string line =
-          tart::obs::render_series_line(ts_ms, total, merged);
+          tart::obs::render_series_line(ts_ms, merged);
       std::fwrite(line.data(), 1, line.size(), series);
       std::fflush(series);
     }

@@ -31,7 +31,7 @@ struct TraceConfig {
 
   /// Per-component ring capacity (rounded up to a power of two). Records
   /// that arrive while the ring is full are dropped and counted in
-  /// MetricsSnapshot::trace_events_dropped.
+  /// tart_trace_events_dropped_total.
   std::size_t ring_capacity = 1 << 14;
 
   /// Background-writer drain cadence.

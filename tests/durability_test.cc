@@ -30,6 +30,8 @@
 #include "log/fault_log.h"
 #include "log/message_log.h"
 #include "log/segmented_store.h"
+#include "net/wire_format.h"
+#include "placement/journal.h"
 
 namespace tart {
 namespace {
@@ -1304,6 +1306,51 @@ class DiskFuzzTest : public DurabilityTest {
     log.load(store, 0);
   }
 
+  /// Writes journal_records() through a durable journal and returns the
+  /// file's bytes; `path` receives the journal file's path.
+  Bytes write_journal(std::string* path) {
+    const std::string dir = (dir_ / "placement").string();
+    std::filesystem::create_directories(dir);
+    placement::MigrationJournal journal(dir);
+    for (const placement::JournalRecord& r : journal_records())
+      EXPECT_TRUE(journal.append(r));
+    *path = journal.path();
+    return read_file(*path);
+  }
+
+  /// One record of every kind, epochs rising.
+  static std::vector<placement::JournalRecord> journal_records() {
+    using K = placement::JournalRecordKind;
+    std::vector<placement::JournalRecord> out;
+    std::uint64_t epoch = 0;
+    for (const K kind : {K::kIntent, K::kStaged, K::kAdopt, K::kRelease,
+                         K::kAbort, K::kApplied})
+      out.push_back({kind, ++epoch, ComponentId(2), EngineId(0), EngineId(1)});
+    return out;
+  }
+
+  /// Recovers the journal at `path` holding `file`: the records it accepts
+  /// must be a prefix of journal_records(), and max_epoch must come from
+  /// them alone.
+  void expect_recovers_prefix(const std::string& path, const Bytes& file,
+                              const std::string& what) {
+    write_file(path, file);
+    const auto written = journal_records();
+    const placement::JournalRecovery r = placement::MigrationJournal::recover(
+        std::filesystem::path(path).parent_path().string());
+    ASSERT_LE(r.records.size(), written.size()) << what;
+    std::uint64_t max_epoch = 0;
+    for (std::size_t i = 0; i < r.records.size(); ++i) {
+      EXPECT_EQ(r.records[i].kind, written[i].kind) << what << " record " << i;
+      EXPECT_EQ(r.records[i].epoch, written[i].epoch) << what << " record " << i;
+      EXPECT_EQ(r.records[i].component, written[i].component) << what;
+      EXPECT_EQ(r.records[i].from, written[i].from) << what;
+      EXPECT_EQ(r.records[i].to, written[i].to) << what;
+      max_epoch = std::max(max_epoch, written[i].epoch);
+    }
+    EXPECT_EQ(r.max_epoch, max_epoch) << what;
+  }
+
   LogLevel saved_level_ = LogLevel::kWarn;
 };
 
@@ -1492,6 +1539,52 @@ TEST_F(DiskFuzzTest, UndecodableRecordFailsLoadAndValidRecordsDecodeAtReplay) {
     ASSERT_EQ(replay.size(), bytes_of.size());
     for (std::size_t i = 0; i < replay.size(); ++i)
       EXPECT_EQ(encode(replay[i]), bytes_of[i]) << "wire " << wire << " #" << i;
+  }
+}
+
+TEST_F(DiskFuzzTest, JournalTruncationsAndMutationsRecoverAPrefix) {
+  std::string path;
+  const Bytes journal = write_journal(&path);
+  expect_recovers_prefix(path, journal, "whole");
+  EXPECT_EQ(placement::MigrationJournal::recover(
+                std::filesystem::path(path).parent_path().string())
+                .records.size(),
+            journal_records().size());
+  for (std::size_t cut = 0; cut < journal.size(); ++cut)
+    expect_recovers_prefix(path, Bytes(journal.begin(), journal.begin() + cut),
+                           "prefix " + std::to_string(cut));
+  Rng rng(0x70A1);
+  for (int round = 0; round < kMutationRounds; ++round)
+    expect_recovers_prefix(path, mutate(journal, rng),
+                           "mutant " + std::to_string(round));
+}
+
+// A record that passes its CRC but names no record kind is refused like a
+// torn tail: it joins no recovery view and cannot raise max_epoch.
+TEST_F(DiskFuzzTest, JournalRefusesCrcValidRecordOfUnknownKind) {
+  std::string path;
+  const Bytes journal = write_journal(&path);
+  // Frame layout: u32 length, payload (kind byte first), u32 CRC.
+  const Bytes first(journal.begin(),
+                    journal.begin() + 8 + static_cast<std::ptrdiff_t>(
+                                              std::to_integer<std::uint8_t>(
+                                                  journal[0])));
+  for (const std::uint8_t kind : {0, 7, 255}) {
+    Bytes forged = first;
+    forged[4] = static_cast<std::byte>(kind);
+    forged[5] = std::byte{0x7F};  // epoch 127: above every written epoch
+    const std::vector<std::byte> payload(forged.begin() + 4, forged.end() - 4);
+    const std::uint32_t crc = net::crc32(payload);
+    for (int i = 0; i < 4; ++i)
+      forged[forged.size() - 4 + static_cast<std::size_t>(i)] =
+          static_cast<std::byte>((crc >> (8 * i)) & 0xFF);
+    Bytes file = journal;
+    file.insert(file.end(), forged.begin(), forged.end());
+    expect_recovers_prefix(path, file, "kind " + std::to_string(kind));
+    const auto r = placement::MigrationJournal::recover(
+        std::filesystem::path(path).parent_path().string());
+    EXPECT_EQ(r.records.size(), journal_records().size());
+    EXPECT_EQ(r.max_epoch, journal_records().back().epoch);
   }
 }
 

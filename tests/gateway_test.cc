@@ -18,6 +18,7 @@
 #include "apps/wordcount.h"
 #include "common/rng.h"
 #include "core/runtime.h"
+#include "exposition_contract.h"
 #include "gateway/gateway.h"
 #include "gateway/http.h"
 #include "obs/exposition.h"
@@ -404,9 +405,10 @@ void close_with_reset(int fd) {
 class GatewayTest : public ::testing::Test {
  protected:
   void start(gateway::Gateway::Options options = {},
-             gateway::Gateway::Host host = {}) {
+             gateway::Gateway::Host host = {},
+             core::RuntimeConfig config = {}) {
     rt_ = std::make_unique<core::Runtime>(app_.built.topology, app_.placement,
-                                          core::RuntimeConfig{});
+                                          std::move(config));
     rt_->start();
     gw_ = std::make_unique<gateway::Gateway>(
         rt_.get(), std::move(options), app_.built.inputs, app_.built.outputs,
@@ -417,6 +419,11 @@ class GatewayTest : public ::testing::Test {
   void TearDown() override {
     if (gw_) gw_->shutdown();
     if (rt_) rt_->stop();
+  }
+
+  /// One family's raw value in the runtime's registry.
+  [[nodiscard]] std::uint64_t metric(const char* family) const {
+    return obs::family_total(rt_->registry().samples(), family);
   }
 
   [[nodiscard]] gateway::BlockingHttpClient client() {
@@ -466,9 +473,8 @@ TEST_F(GatewayTest, TypedRejections) {
   EXPECT_EQ(c.post("/checkpoint", "").status, 503)
       << "this fixture runs without a log dir; /checkpoint must say so";
 
-  const auto counters = gw_->counters();
-  EXPECT_GT(counters.errors, 0u);
-  EXPECT_EQ(counters.acked, 1u);
+  EXPECT_GT(metric("tart_gw_errors_total"), 0u);
+  EXPECT_EQ(metric("tart_gw_acked_total"), 1u);
 }
 
 TEST_F(GatewayTest, AdmissionControlReturns429WithRetryAfter) {
@@ -481,7 +487,7 @@ TEST_F(GatewayTest, AdmissionControlReturns429WithRetryAfter) {
   EXPECT_EQ(resp.status, 429);
   ASSERT_NE(resp.header("Retry-After"), nullptr);
   EXPECT_EQ(*resp.header("Retry-After"), "7");
-  EXPECT_EQ(gw_->counters().rejected, 1u);
+  EXPECT_EQ(metric("tart_gw_rejected_total"), 1u);
 }
 
 TEST_F(GatewayTest, OutputsDrainAndLongPoll) {
@@ -699,6 +705,36 @@ TEST_F(GatewayTest, MetricsAndHealthz) {
   EXPECT_FALSE(lint.has_value()) << *lint;
 }
 
+// The exposition contract perfbench's per-layer rows rely on: a durable
+// node's page serves every family they read, with today's TYPE, lints
+// clean and names no family twice. An embedded gateway has no peer
+// transport; the tart_net_* families are pinned on a tart-node page
+// (NetProcessTest.NodePageServesEveryBenchmarkFamily).
+TEST_F(GatewayTest, DurablePageServesEveryBenchmarkFamily) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("tart_gw_contract_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  core::RuntimeConfig config;
+  config.log_dir = dir.string();
+  start({}, {}, std::move(config));
+  auto c = client();
+  ASSERT_EQ(c.post("/inject/in?vt=1000", "m", "text/plain").status, 200);
+  const auto resp = c.get("/metrics");
+  ASSERT_EQ(resp.status, 200);
+  tart::testing::expect_serves_benchmark_families(
+      resp.body, /*with_peer_transport=*/false);
+  // The harvest sets the log gauge at scrape time: one durable record.
+  EXPECT_NE(resp.body.find("\ntart_log_disk_bytes "), std::string::npos);
+  EXPECT_EQ(resp.body.find("\ntart_log_disk_bytes 0\n"), std::string::npos)
+      << resp.body;
+  gw_->shutdown();
+  rt_->stop();
+  gw_.reset();
+  rt_.reset();
+  std::filesystem::remove_all(dir);
+}
+
 TEST_F(GatewayTest, StatusReportsSilenceWavefront) {
   start();
   auto c = client();
@@ -731,7 +767,7 @@ TEST_F(GatewayTest, ObsReportAgreesWithStatusAndMetrics) {
   EXPECT_EQ(*resp.header("Content-Type"), obs::kNodeReportContentType);
   const obs::NodeReport report = obs::NodeReport::decode(resp.body);
   EXPECT_EQ(report.node, "n1");
-  EXPECT_EQ(report.metrics.gw_acked, 1u);
+  EXPECT_EQ(obs::family_total(report.samples, "tart_gw_acked_total"), 1u);
   EXPECT_EQ(report.status.placement_epoch, 7u);
   ASSERT_EQ(report.status.placement.size(), 1u);
   EXPECT_EQ(report.status.components.size(), 2u);
@@ -773,9 +809,10 @@ TEST_F(GatewayTest, ConcurrentClientsGroupCommitAndAllAck) {
   EXPECT_EQ(acked.load(), kClients * kPerClient);
   EXPECT_EQ(rt_->external_log().size(app_.in()),
             static_cast<std::uint64_t>(kClients * kPerClient));
-  const auto counters = gw_->counters();
-  EXPECT_EQ(counters.acked, static_cast<std::uint64_t>(kClients * kPerClient));
-  EXPECT_LE(counters.commit_batches, counters.commit_records);
+  EXPECT_EQ(metric("tart_gw_acked_total"),
+            static_cast<std::uint64_t>(kClients * kPerClient));
+  EXPECT_LE(metric("tart_gw_commit_batches_total"),
+            metric("tart_gw_commit_records_total"));
 }
 
 }  // namespace

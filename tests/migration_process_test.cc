@@ -101,7 +101,7 @@ TEST(MigrationProcessTest, LiveMigrationUnderLoadMatchesBaseline) {
     for (std::size_t i = 0; i < half; ++i) left_ctl.inject(steps[i]);
     // Let the stream reach the merger so the migration moves real state.
     ASSERT_TRUE(poll_until(10s, [&] {
-      return right_ctl.metrics().messages_processed >= half / 2;
+      return right_ctl.metric("tart_messages_processed_total") >= half / 2;
     })) << "merger never saw the pre-migration prefix";
 
     // Migrate sender2 while sender1 keeps injecting: migration under load.
@@ -152,15 +152,15 @@ TEST(MigrationProcessTest, LiveMigrationUnderLoadMatchesBaseline) {
     ASSERT_TRUE(right_ctl.drain());
     mig_out = right_ctl.totals();
 
-    const auto lm = left_ctl.metrics();
-    const auto mm = mid_ctl.metrics();
-    EXPECT_EQ(lm.mig_started, 1u);
-    EXPECT_EQ(lm.mig_completed, 1u);
-    EXPECT_EQ(lm.mig_failed, 0u);
-    EXPECT_EQ(lm.mig_evicted, 1u);
-    EXPECT_GT(lm.mig_bytes_sent, 0u);
-    EXPECT_EQ(mm.mig_adopted, 1u);
-    EXPECT_GT(mm.mig_bytes_received, 0u);
+    const auto lm = left_ctl.obs_samples();
+    const auto mm = mid_ctl.obs_samples();
+    EXPECT_EQ(obs::family_total(lm, "tart_mig_started_total"), 1u);
+    EXPECT_EQ(obs::family_total(lm, "tart_mig_completed_total"), 1u);
+    EXPECT_EQ(obs::family_total(lm, "tart_mig_failed_total"), 0u);
+    EXPECT_EQ(obs::family_total(lm, "tart_mig_evicted_total"), 1u);
+    EXPECT_GT(obs::family_total(lm, "tart_mig_bytes_sent_total"), 0u);
+    EXPECT_EQ(obs::family_total(mm, "tart_mig_adopted_total"), 1u);
+    EXPECT_GT(obs::family_total(mm, "tart_mig_bytes_received_total"), 0u);
 
     left_ctl.shutdown_node();
     mid_ctl.shutdown_node();
@@ -235,7 +235,7 @@ void run_crash_scenario(const CrashScenario& sc) {
     EXPECT_EQ(connect(d, "mid").get("/healthz").status, 200);
     for (std::size_t i = 0; i < half; ++i) left_ctl.inject(steps[i]);
     ASSERT_TRUE(poll_until(10s, [&] {
-      return right_ctl.metrics().messages_processed >= half / 2;
+      return right_ctl.metric("tart_messages_processed_total") >= half / 2;
     })) << "merger never saw the pre-crash prefix";
   }
 
@@ -305,15 +305,22 @@ void run_crash_scenario(const CrashScenario& sc) {
   const OutputStream got = right_ctl.totals();
   if (got != expected) {
     auto dump = [](const char* n, NodeClient& c) {
-      const auto m = c.metrics();
+      const auto m = c.obs_samples();
+      const auto v = [&m](const char* family) {
+        return obs::family_total(m, family);
+      };
       std::fprintf(stderr,
                    "[diag %-5s] processed=%lu dup_discarded=%lu refused=%lu "
                    "msgs_in=%lu msgs_out=%lu mig s/c/f=%lu/%lu/%lu "
                    "adopt=%lu evict=%lu upd=%lu\n",
-                   n, m.messages_processed, m.duplicates_discarded,
-                   m.net_frames_refused, m.net_msgs_in, m.net_msgs_out,
-                   m.mig_started, m.mig_completed, m.mig_failed, m.mig_adopted,
-                   m.mig_evicted, m.mig_updates_applied);
+                   n, v("tart_messages_processed_total"),
+                   v("tart_duplicates_discarded_total"),
+                   v("tart_net_frames_refused_total"),
+                   v("tart_net_msgs_in_total"), v("tart_net_msgs_out_total"),
+                   v("tart_mig_started_total"), v("tart_mig_completed_total"),
+                   v("tart_mig_failed_total"), v("tart_mig_adopted_total"),
+                   v("tart_mig_evicted_total"),
+                   v("tart_mig_updates_applied_total"));
       const auto st = c.status();
       std::fprintf(stderr, "[diag %-5s] placement_epoch=%lu components:", n,
                    static_cast<unsigned long>(st.placement_epoch));

@@ -151,7 +151,9 @@ TEST(ConnectionManagerTest, PairConnectsAndExchangesFrames) {
   bo.listen = "127.0.0.1:0";
   bo.peers["a"] = "127.0.0.1:1";  // never dialed from b's side
   bo.tuning = fast_tuning();
-  ConnectionManager b(bo, sink_b.frame_handler(), sink_b.link_handler());
+  obs::Registry reg_b;
+  ConnectionManager b(bo, reg_b, sink_b.frame_handler(),
+                      sink_b.link_handler());
   ASSERT_NE(b.listen_port(), 0);
 
   ConnectionManager::Options ao;
@@ -159,7 +161,9 @@ TEST(ConnectionManagerTest, PairConnectsAndExchangesFrames) {
   ao.listen = "127.0.0.1:0";
   ao.peers["b"] = "127.0.0.1:" + std::to_string(b.listen_port());
   ao.tuning = fast_tuning();
-  ConnectionManager a(ao, sink_a.frame_handler(), sink_a.link_handler());
+  obs::Registry reg_a;
+  ConnectionManager a(ao, reg_a, sink_a.frame_handler(),
+                      sink_a.link_handler());
   ASSERT_TRUE(eventually([&] { return a.peer_up("b"); }))
       << "dialer never saw link-up";
 
@@ -168,11 +172,11 @@ TEST(ConnectionManagerTest, PairConnectsAndExchangesFrames) {
   const auto seen = sink_b.seen();
   for (std::uint32_t i = 0; i < 100; ++i) EXPECT_EQ(seen[i], i);  // FIFO
 
-  const auto ca = a.counters();
-  EXPECT_EQ(ca.frames_out, 100u);
-  EXPECT_GT(ca.bytes_out, 0u);
-  EXPECT_EQ(ca.connects, 1u);
-  EXPECT_EQ(ca.reconnects, 0u);
+  const auto ca = reg_a.samples();
+  EXPECT_EQ(obs::family_total(ca, "tart_net_frames_out_total"), 100u);
+  EXPECT_GT(obs::family_total(ca, "tart_net_bytes_out_total"), 0u);
+  EXPECT_EQ(obs::family_total(ca, "tart_net_connects_total"), 1u);
+  EXPECT_EQ(obs::family_total(ca, "tart_net_reconnects_total"), 0u);
 
   a.shutdown();
   b.shutdown();
@@ -184,7 +188,8 @@ TEST(ConnectionManagerTest, AcceptorValidatesHelloFromKnownPeer) {
   bo.node = "b";
   bo.listen = "127.0.0.1:0";
   bo.tuning = fast_tuning();
-  ConnectionManager b_wrong(bo, sink_b.frame_handler(),
+  obs::Registry reg_b_wrong;
+  ConnectionManager b_wrong(bo, reg_b_wrong, sink_b.frame_handler(),
                             sink_b.link_handler());
   // b has no peer "a" in its table: the inbound HELLO must be refused,
   // so a never reaches link-up.
@@ -192,11 +197,14 @@ TEST(ConnectionManagerTest, AcceptorValidatesHelloFromKnownPeer) {
   ao.node = "a";
   ao.peers["b"] = "127.0.0.1:" + std::to_string(b_wrong.listen_port());
   ao.tuning = fast_tuning();
-  ConnectionManager a(ao, sink_a.frame_handler(), sink_a.link_handler());
+  obs::Registry reg_a;
+  ConnectionManager a(ao, reg_a, sink_a.frame_handler(),
+                      sink_a.link_handler());
   std::this_thread::sleep_for(300ms);
   EXPECT_FALSE(a.peer_up("b"));
   EXPECT_FALSE(a.send("b", probe(1)));
-  EXPECT_GT(a.counters().frames_refused, 0u);
+  EXPECT_GT(obs::family_total(reg_a.samples(), "tart_net_frames_refused_total"),
+            0u);
   a.shutdown();
   b_wrong.shutdown();
 }
@@ -208,7 +216,9 @@ TEST(ConnectionManagerTest, FingerprintMismatchIsRefused) {
   bo.listen = "127.0.0.1:0";
   bo.deployment_fp = 1111;
   bo.tuning = fast_tuning();
-  ConnectionManager b(bo, sink_b.frame_handler(), sink_b.link_handler());
+  obs::Registry reg_b;
+  ConnectionManager b(bo, reg_b, sink_b.frame_handler(),
+                      sink_b.link_handler());
   bo.peers["a"] = "unused";
 
   ConnectionManager::Options ao;
@@ -216,7 +226,9 @@ TEST(ConnectionManagerTest, FingerprintMismatchIsRefused) {
   ao.peers["b"] = "127.0.0.1:" + std::to_string(b.listen_port());
   ao.deployment_fp = 2222;  // different config build
   ao.tuning = fast_tuning();
-  ConnectionManager a(ao, sink_a.frame_handler(), sink_a.link_handler());
+  obs::Registry reg_a;
+  ConnectionManager a(ao, reg_a, sink_a.frame_handler(),
+                      sink_a.link_handler());
   std::this_thread::sleep_for(300ms);
   EXPECT_FALSE(a.peer_up("b"));
   a.shutdown();
@@ -237,7 +249,9 @@ TEST(ConnectionManagerTest, DialerReconnectsAfterPeerRestart) {
     bo.listen = "127.0.0.1:0";
     bo.peers["a"] = "127.0.0.1:1";  // never dialed (b > a accepts)
     bo.tuning = fast_tuning();
-    ConnectionManager b(bo, sink_b.frame_handler(), sink_b.link_handler());
+    obs::Registry reg_b;
+    ConnectionManager b(bo, reg_b,
+                        sink_b.frame_handler(), sink_b.link_handler());
     port = b.listen_port();
 
     ao.peers["b"] = "127.0.0.1:" + std::to_string(port);
@@ -251,12 +265,16 @@ TEST(ConnectionManagerTest, DialerReconnectsAfterPeerRestart) {
   bo2.tuning = fast_tuning();
 
   Sink sink_a2;
-  ConnectionManager a(ao, sink_a2.frame_handler(), sink_a2.link_handler());
+  obs::Registry reg_a;
+  ConnectionManager a(ao, reg_a,
+                      sink_a2.frame_handler(), sink_a2.link_handler());
   std::this_thread::sleep_for(100ms);  // let a fail a few dials
   EXPECT_FALSE(a.peer_up("b"));
 
   Sink sink_b2;
-  ConnectionManager b2(bo2, sink_b2.frame_handler(), sink_b2.link_handler());
+  obs::Registry reg_b2;
+  ConnectionManager b2(bo2, reg_b2,
+                       sink_b2.frame_handler(), sink_b2.link_handler());
   ASSERT_TRUE(eventually([&] { return a.peer_up("b"); }))
       << "dialer never recovered after peer came (back) up";
   // The link callback runs on the net thread just after peer_up() flips,
@@ -269,10 +287,12 @@ TEST(ConnectionManagerTest, DialerReconnectsAfterPeerRestart) {
   EXPECT_TRUE(eventually([&] { return sink_a2.down_count() >= 1; }));
 
   Sink sink_b3;
-  ConnectionManager b3(bo2, sink_b3.frame_handler(), sink_b3.link_handler());
+  obs::Registry reg_b3;
+  ConnectionManager b3(bo2, reg_b3,
+                       sink_b3.frame_handler(), sink_b3.link_handler());
   ASSERT_TRUE(eventually([&] { return a.peer_up("b"); }));
-  EXPECT_GE(a.counters().reconnects, 1u) << "second link-up must count as "
-                                            "a reconnect";
+  EXPECT_GE(obs::family_total(reg_a.samples(), "tart_net_reconnects_total"), 1u)
+      << "second link-up must count as a reconnect";
   ASSERT_TRUE(a.send("b", probe(42)));
   ASSERT_TRUE(eventually([&] { return sink_b3.seen().size() == 1; }));
 
@@ -314,11 +334,14 @@ TEST(ConnectionManagerTest, HeartbeatMissAgainstSilentPeer) {
   ao.node = "a";
   ao.peers["b"] = "127.0.0.1:" + std::to_string(port);
   ao.tuning = fast_tuning();
-  ConnectionManager a(ao, sink.frame_handler(), sink.link_handler());
+  obs::Registry reg_a;
+  ConnectionManager a(ao, reg_a, sink.frame_handler(), sink.link_handler());
   ASSERT_TRUE(eventually([&] { return sink.up_count() >= 1; }));
   ASSERT_TRUE(eventually([&] { return sink.down_count() >= 1; }, 10s))
       << "silent peer never declared down";
-  EXPECT_GE(a.counters().heartbeat_misses, 1u);
+  EXPECT_GE(
+      obs::family_total(reg_a.samples(), "tart_net_heartbeat_misses_total"),
+      1u);
 
   stop.store(true);
   a.shutdown();
@@ -331,10 +354,12 @@ TEST(ConnectionManagerTest, SendToDownPeerRefusesAndCounts) {
   ao.node = "a";
   ao.peers["b"] = "127.0.0.1:1";  // nothing listens there
   ao.tuning = fast_tuning();
-  ConnectionManager a(ao, sink.frame_handler(), sink.link_handler());
+  obs::Registry reg_a;
+  ConnectionManager a(ao, reg_a, sink.frame_handler(), sink.link_handler());
   EXPECT_FALSE(a.send("b", probe(1)));
   EXPECT_FALSE(a.send("nonexistent", probe(2)));
-  EXPECT_GE(a.counters().frames_refused, 2u);
+  EXPECT_GE(obs::family_total(reg_a.samples(), "tart_net_frames_refused_total"),
+            2u);
   a.shutdown();
   EXPECT_FALSE(a.send("b", probe(3)));  // after shutdown: still safe
 }
@@ -348,7 +373,8 @@ TEST(ConnectionManagerTest, MalformedInboundBytesDropConnectionNotProcess) {
   bo.listen = "127.0.0.1:0";
   bo.peers["a"] = "127.0.0.1:1";
   bo.tuning = fast_tuning();
-  ConnectionManager b(bo, sink.frame_handler(), sink.link_handler());
+  obs::Registry reg_b;
+  ConnectionManager b(bo, reg_b, sink.frame_handler(), sink.link_handler());
 
   bool in_progress = false;
   std::string err;
@@ -359,7 +385,10 @@ TEST(ConnectionManagerTest, MalformedInboundBytesDropConnectionNotProcess) {
   std::this_thread::sleep_for(50ms);
   const char garbage[] = "GET / HTTP/1.1\r\n\r\n";
   (void)::write(raw.get(), garbage, sizeof(garbage));
-  ASSERT_TRUE(eventually([&] { return b.counters().decode_errors >= 1; }))
+  ASSERT_TRUE(eventually([&] {
+    return obs::family_total(reg_b.samples(), "tart_net_decode_errors_total") >=
+           1;
+  }))
       << "garbage never surfaced as a decode error";
   b.shutdown();
 }

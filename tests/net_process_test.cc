@@ -26,6 +26,7 @@
 
 #include <optional>
 
+#include "exposition_contract.h"
 #include "gateway/http.h"
 #include "process_fixture.h"
 
@@ -82,16 +83,18 @@ TEST(NetProcessTest, TwoProcessRunMatchesBaselineAndSurvivesSigkill) {
     clean_out = right_http.totals();
 
     // Durability and the socket transport demonstrably carried the stream.
-    const auto lm = left_http.metrics();
-    const auto rm = right_http.metrics();
-    EXPECT_EQ(lm.store_records_written, steps.size());
-    EXPECT_GT(lm.store_flushes, 0u);
-    EXPECT_EQ(lm.gw_acked, steps.size());
-    EXPECT_GT(lm.net_frames_out, 0u);
-    EXPECT_GT(lm.net_bytes_out, 0u);
-    EXPECT_GT(rm.net_frames_in, 0u);
-    EXPECT_GT(rm.net_bytes_in, 0u);
-    EXPECT_EQ(rm.messages_processed, steps.size());
+    const auto lm = left_http.obs_samples();
+    const auto rm = right_http.obs_samples();
+    EXPECT_EQ(obs::family_total(lm, "tart_store_records_written_total"),
+              steps.size());
+    EXPECT_GT(obs::family_total(lm, "tart_store_flushes_total"), 0u);
+    EXPECT_EQ(obs::family_total(lm, "tart_gw_acked_total"), steps.size());
+    EXPECT_GT(obs::family_total(lm, "tart_net_frames_out_total"), 0u);
+    EXPECT_GT(obs::family_total(lm, "tart_net_bytes_out_total"), 0u);
+    EXPECT_GT(obs::family_total(rm, "tart_net_frames_in_total"), 0u);
+    EXPECT_GT(obs::family_total(rm, "tart_net_bytes_in_total"), 0u);
+    EXPECT_EQ(obs::family_total(rm, "tart_messages_processed_total"),
+              steps.size());
 
     // Telemetry over GET /obs: the merger node reports its registry samples
     // (per-component labelled counters) and its silence wavefront.
@@ -151,7 +154,8 @@ TEST(NetProcessTest, TwoProcessRunMatchesBaselineAndSurvivesSigkill) {
       // counters, retention) is still volatile when the power goes out.
       std::uint64_t seen = 0;
       ASSERT_TRUE(poll_until(10s, [&] {
-        return (seen = right_http.metrics().messages_processed) >= half / 2;
+        return (seen = right_http.metric("tart_messages_processed_total")) >=
+               half / 2;
       })) << "merger only processed " << seen << "/" << half
           << " before the kill window";
       // Freeze the process before killing it. A SIGKILLed process's kernel
@@ -160,7 +164,7 @@ TEST(NetProcessTest, TwoProcessRunMatchesBaselineAndSurvivesSigkill) {
       // for. The right node must declare the link down by misses alone.
       left.freeze();
       ASSERT_TRUE(poll_until(20s, [&] {
-        return right_http.metrics().net_heartbeat_misses > 0;
+        return right_http.metric("tart_net_heartbeat_misses_total") > 0;
       })) << "right never noticed the frozen peer";
       left.kill9();
       left.reap();
@@ -176,21 +180,24 @@ TEST(NetProcessTest, TwoProcessRunMatchesBaselineAndSurvivesSigkill) {
     ASSERT_TRUE(right_http.drain()) << "right never quiesced after kill";
     kill_out = right_http.totals();
 
-    const auto lm = left_http.metrics();
-    const auto rm = right_http.metrics();
-    EXPECT_GE(rm.net_reconnects, 1u)
+    const auto lm = left_http.obs_samples();
+    const auto rm = right_http.obs_samples();
+    EXPECT_GE(obs::family_total(rm, "tart_net_reconnects_total"), 1u)
         << "right must have re-accepted the restarted left";
-    EXPECT_GT(rm.net_heartbeat_misses, 0u);
-    EXPECT_GT(rm.net_frames_in, 0u);
+    EXPECT_GT(obs::family_total(rm, "tart_net_heartbeat_misses_total"), 0u);
+    EXPECT_GT(obs::family_total(rm, "tart_net_frames_in_total"), 0u);
     // The restarted node re-emits every logged tick. Each re-emission races
     // the link coming back up: frames sent once the link is up reach the
     // merger and are discarded as duplicates; frames emitted while the
     // link is still down are refused at the sender (and healed later by
     // seq/silence accounting). Either way the kill must leave a mark.
-    EXPECT_GT(rm.duplicates_discarded + lm.net_frames_refused, 0u)
+    EXPECT_GT(obs::family_total(rm, "tart_duplicates_discarded_total") +
+                  obs::family_total(lm, "tart_net_frames_refused_total"),
+              0u)
         << "a mid-run kill with replay must surface as duplicate discards "
            "or refused frames";
-    EXPECT_EQ(rm.messages_processed, steps.size());
+    EXPECT_EQ(obs::family_total(rm, "tart_messages_processed_total"),
+              steps.size());
 
     left_http.shutdown_node();
     right_http.shutdown_node();
@@ -263,7 +270,7 @@ TEST(NetProcessTest, DurableCheckpointRestartMatchesBaseline) {
       // The senders consume their logged inputs almost immediately; wait
       // until they have, so the forced checkpoint covers the whole prefix.
       ASSERT_TRUE(poll_until(10s, [&] {
-        return left_http.metrics().messages_processed >= half;
+        return left_http.metric("tart_messages_processed_total") >= half;
       })) << "left never consumed the pre-checkpoint prefix";
       const auto ck = left_http.checkpoint();
       ASSERT_TRUE(ck.ok) << ck.error;
@@ -284,12 +291,13 @@ TEST(NetProcessTest, DurableCheckpointRestartMatchesBaseline) {
     NodeProc left(d, "left", durable_flags);
     auto left_http = connect(d, "left");
     ASSERT_TRUE(poll_until(10s, [&] {
-      return left_http.metrics().restart_covered_records != 0;
+      return left_http.metric("tart_restart_covered_records") != 0;
     })) << "restarted left never reported a checkpoint-covered restart";
-    const auto lm = left_http.metrics();
-    EXPECT_EQ(lm.restart_covered_records, half)
+    const auto lm = left_http.obs_samples();
+    EXPECT_EQ(obs::family_total(lm, "tart_restart_covered_records"), half)
         << "restart should skip exactly the checkpoint-covered prefix";
-    EXPECT_EQ(lm.restart_suffix_records, kill_at - half)
+    EXPECT_EQ(obs::family_total(lm, "tart_restart_suffix_records"),
+              kill_at - half)
         << "restart should replay exactly the post-checkpoint suffix";
 
     for (std::size_t i = kill_at; i < steps.size(); ++i)
@@ -367,6 +375,25 @@ TEST(NetProcessTest, PushShipsObsReportOverHttp) {
   EXPECT_TRUE(counter_seen)
       << "no tart_messages_processed_total sample in the pushed report";
 
+  http.shutdown_node();
+  EXPECT_EQ(node.reap(), 0);
+}
+
+// The exposition contract perfbench's per-layer rows rely on, on the page
+// a tart-node serves (perfbench scrapes tart-nodes): every family they read,
+// the peer transport's included, with today's TYPE, lint clean and no
+// family named twice.
+TEST(NetProcessTest, NodePageServesEveryBenchmarkFamily) {
+  const std::string dir = make_temp_dir();
+  const Deployment d = write_solo(dir);
+  NodeProc node(d, "solo", {"--log-dir=" + dir + "/log"});
+  auto http = connect(d, "solo");
+  for (const auto& s : make_script(4)) http.inject(s);
+  ASSERT_TRUE(http.drain());
+  const auto resp = http.get("/metrics");
+  ASSERT_EQ(resp.status, 200);
+  tart::testing::expect_serves_benchmark_families(
+      resp.body, /*with_peer_transport=*/true);
   http.shutdown_node();
   EXPECT_EQ(node.reap(), 0);
 }

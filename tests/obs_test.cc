@@ -1,9 +1,8 @@
 // Unit coverage for the telemetry layer: registry cell semantics,
 // cross-node sample aggregation, Prometheus exposition + its lint, the
-// status JSON, and the X-macro guarantees of core::MetricsSnapshot.
+// status JSON, the GET /obs report codec and the per-runner counter cells.
 #include <gtest/gtest.h>
 
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -260,16 +259,12 @@ TEST(Exposition, RegistrySeriesRenderWithHelpAndType) {
 }
 
 TEST(Exposition, SnapshotPageLintsCleanWithRegistry) {
-  core::MetricsSnapshot snap;
-  snap.messages_processed = 3;
-  snap.pessimism_wait_ns = 1'500'000'000;
-
   // A nanosecond counter carries its ns -> s scale and renders as seconds.
   Registry ns_only;
   ns_only.counter("tart_pessimism_wait_seconds_total", "Pessimism wait", {},
                   1e-9)
       .inc(1'500'000'000);
-  const std::string bare = render_prometheus(snap, ns_only);
+  const std::string bare = render_prometheus(ns_only);
   EXPECT_EQ(lint_exposition(bare), std::nullopt) << *lint_exposition(bare);
   EXPECT_NE(bare.find("tart_pessimism_wait_seconds_total 1.5"),
             std::string::npos)
@@ -279,14 +274,25 @@ TEST(Exposition, SnapshotPageLintsCleanWithRegistry) {
   reg.counter("tart_messages_processed_total", "Messages",
               {{"component", "m"}})
       .inc(3);
-  const std::string page = render_prometheus(snap, reg);
+  reg.counter("tart_messages_processed_total", "Messages",
+              {{"component", "n"}})
+      .inc(1);
+  reg.gauge("tart_log_disk_bytes", "Bytes").set(4096);
+  const std::string page = render_prometheus(reg);
   EXPECT_EQ(lint_exposition(page), std::nullopt) << *lint_exposition(page);
-  // With a registry the per-component families come from it, labelled;
-  // the unlabelled snapshot rendering must NOT appear beside them.
+  // Per-component families render labelled, one TYPE line per family, and
+  // no unlabelled total beside them.
   EXPECT_NE(page.find("tart_messages_processed_total{component=\"m\"} 3"),
             std::string::npos)
       << page;
   EXPECT_EQ(page.find("tart_messages_processed_total 3"), std::string::npos)
+      << page;
+  const std::string type = "# TYPE tart_messages_processed_total counter\n";
+  ASSERT_NE(page.find(type), std::string::npos) << page;
+  EXPECT_EQ(page.find(type, page.find(type) + 1), std::string::npos) << page;
+  EXPECT_NE(page.find("# TYPE tart_log_disk_bytes gauge\ntart_log_disk_bytes "
+                      "4096\n"),
+            std::string::npos)
       << page;
 }
 
@@ -297,6 +303,15 @@ TEST(ExpositionLint, CatchesConventionViolations) {
       lint_exposition("# HELP tart_x x\n# TYPE tart_x counter\ntart_x 1\n")
           .has_value())
       << "counter family without _total must fail";
+  EXPECT_TRUE(lint_exposition("# HELP tart_x_total x\n"
+                              "# TYPE tart_x_total gauge\ntart_x_total 1\n")
+                  .has_value())
+      << "gauge family ending in _total must fail";
+  EXPECT_TRUE(lint_exposition("# HELP tart_x_total x\n"
+                              "# TYPE tart_x_total summary\n"
+                              "tart_x_total_count 1\n")
+                  .has_value())
+      << "summary family ending in _total must fail";
   EXPECT_TRUE(lint_exposition("tart_x_total 1\n").has_value())
       << "sample before its TYPE line must fail";
   EXPECT_TRUE(lint_exposition("# TYPE tart_x_total counter\ntart_x_total 1\n")
@@ -420,13 +435,12 @@ TEST(StatusJson, RendersPlacementAndMigrations) {
 TEST(NodeReportCodec, RoundTripsEverySection) {
   Registry reg;
   reg.counter("tart_messages_processed_total", "help", {{"component", "m"}})
-      .inc(5);
+      .inc(42);
+  reg.counter("tart_mig_adopted_total", "help").inc(1);
   reg.histogram("tart_pessimism_stall_seconds", "help", {}, 1e-3, 8)
       .record(0.002);
   NodeReport in;
   in.node = "left";
-  in.metrics.messages_processed = 42;
-  in.metrics.mig_adopted = 1;
   in.samples = reg.samples();
   core::ComponentStatus c;
   c.id = ComponentId(2);
@@ -442,9 +456,10 @@ TEST(NodeReportCodec, RoundTripsEverySection) {
   const std::vector<std::byte> bytes = in.encode();
   const NodeReport out = NodeReport::decode(bytes.data(), bytes.size());
   EXPECT_EQ(out.node, "left");
-  EXPECT_EQ(out.metrics.messages_processed, 42u);
-  EXPECT_EQ(out.metrics.mig_adopted, 1u);
-  ASSERT_EQ(out.samples.size(), 2u);
+  EXPECT_EQ(family_total(out.samples, "tart_messages_processed_total"), 42u);
+  EXPECT_EQ(family_total(out.samples, "tart_mig_adopted_total"), 1u);
+  EXPECT_EQ(family_total(out.samples, "tart_pessimism_stall_seconds"), 1u);
+  ASSERT_EQ(out.samples.size(), 3u);
   ASSERT_EQ(out.status.components.size(), 1u);
   EXPECT_EQ(out.status.components[0].name, "merger");
   EXPECT_EQ(out.status.components[0].held_vt, -5);
@@ -505,41 +520,7 @@ TEST(StatusJson, HeldFieldsOmittedWhenNotHeld) {
   EXPECT_NE(json.find("\"held\":false"), std::string::npos);
 }
 
-// --- MetricsSnapshot X-macro guarantees -------------------------------------
-
-TEST(MetricsSnapshot, FieldCountMatchesStructSize) {
-  // Mirrors the compile-time guard: every field is enumerated exactly once.
-  EXPECT_EQ(sizeof(core::MetricsSnapshot),
-            core::detail::kMetricsFieldCount * sizeof(std::uint64_t));
-}
-
-TEST(MetricsSnapshot, AggregationFollowsDeclaredSemantics) {
-  core::MetricsSnapshot a;
-  core::MetricsSnapshot b;
-  a.messages_processed = 10;
-  b.messages_processed = 5;
-  a.net_queue_high_water = 3;  // MAX field
-  b.net_queue_high_water = 8;
-  a.gw_commit_batch_max = 9;  // MAX field
-  b.gw_commit_batch_max = 2;
-  a += b;
-  EXPECT_EQ(a.messages_processed, 15u);   // SUM
-  EXPECT_EQ(a.net_queue_high_water, 8u);  // MAX
-  EXPECT_EQ(a.gw_commit_batch_max, 9u);   // MAX
-}
-
-TEST(MetricsSnapshot, EveryPromNameIsUniqueAndPrefixed) {
-  std::vector<std::string> names;
-#define TART_OBS_TEST_NAME(field, prom, help, agg, scale) \
-  names.push_back(prom);
-  TART_METRICS_SCALAR_FIELDS(TART_OBS_TEST_NAME)
-#undef TART_OBS_TEST_NAME
-  EXPECT_EQ(names.size(), core::detail::kMetricsFieldCount);
-  std::set<std::string> unique(names.begin(), names.end());
-  EXPECT_EQ(unique.size(), names.size()) << "duplicate exposition name";
-  for (const auto& n : names)
-    EXPECT_EQ(n.rfind("tart_", 0), 0u) << n;
-}
+// --- Per-runner counter cells ----------------------------------------------
 
 TEST(RunnerMetrics, CountsLandInLabelledRegistryCells) {
   Registry reg;
@@ -568,25 +549,22 @@ TEST(RunnerMetrics, CountsLandInLabelledRegistryCells) {
 // --- JSONL series line -------------------------------------------------------
 
 TEST(SeriesLine, RenderIsOneJsonObjectPerLine) {
-  core::MetricsSnapshot snap;
-  snap.messages_processed = 2;
   Registry reg;
   reg.counter("tart_c_total", "c", {{"component", "x"}}).inc(1);
   reg.histogram("tart_h_seconds", "h", {}, 1.0, 2).record(0.5);
-  std::string line = render_series_line(1234, snap, reg.samples());
+  std::string line = render_series_line(1234, reg.samples());
   EXPECT_EQ(line.back(), '\n');
-  EXPECT_EQ(line.front(), '{');
-  EXPECT_NE(line.find("\"ts_ms\":1234"), std::string::npos) << line;
-  EXPECT_NE(line.find("\"messages_processed\":2"), std::string::npos) << line;
+  EXPECT_EQ(line.rfind("{\"ts_ms\":1234,\"series\":[", 0), 0u) << line;
   EXPECT_NE(line.find("\"tart_c_total\""), std::string::npos) << line;
+  EXPECT_NE(line.find("\"value\":1"), std::string::npos) << line;
   EXPECT_NE(line.find("\"p50\""), std::string::npos) << line;
 
   // Appended lines form well-formed JSONL: every line is one object with
-  // the timestamp and the scalar block.
+  // the timestamp and the series array.
   std::string file;
   for (std::int64_t ts = 0; ts < 3; ++ts) {
     reg.counter("tart_c_total", "c", {{"component", "x"}}).inc(1);
-    file += render_series_line(ts, snap, reg.samples());
+    file += render_series_line(ts, reg.samples());
   }
   std::istringstream in(file);
   std::size_t lines = 0;
@@ -595,7 +573,7 @@ TEST(SeriesLine, RenderIsOneJsonObjectPerLine) {
     EXPECT_EQ(line.front(), '{') << line;
     EXPECT_EQ(line.back(), '}') << line;
     EXPECT_NE(line.find("\"ts_ms\":"), std::string::npos) << line;
-    EXPECT_NE(line.find("\"metrics\":"), std::string::npos) << line;
+    EXPECT_NE(line.find("\"series\":["), std::string::npos) << line;
   }
   EXPECT_EQ(lines, 3u);
 }

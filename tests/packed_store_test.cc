@@ -290,7 +290,7 @@ TEST(PackedStoreBudget, MemoryOnlyLogCostsItsEncodingPlus16BytesARecord) {
     }
   ASSERT_EQ(records, static_cast<std::uint64_t>(kSentences));
 
-  rt.harvest_memory_gauges();
+  rt.harvest_telemetry();
   std::int64_t log_bytes = -1;
   std::map<std::string, std::int64_t> retention;
   for (const obs::Sample& s : rt.registry().samples()) {

@@ -387,7 +387,10 @@ class NodeClient {
   obs::NodeReport report() {
     return obs::NodeReport::decode(ok(get("/obs"), "obs").body);
   }
-  core::MetricsSnapshot metrics() { return report().metrics; }
+  /// One family's raw value in a fresh GET /obs report (obs::family_total).
+  std::uint64_t metric(const std::string& family) {
+    return obs::family_total(obs_samples(), family);
+  }
   core::StatusReport status() { return report().status; }
   std::vector<obs::Sample> obs_samples() { return report().samples; }
 

@@ -8,7 +8,7 @@
 //   - injected nondeterminism (the test-only vt-skew hook) must be caught
 //     by the strict differ, naming the offending component;
 //   - the recorder must not drop events under the harness workloads
-//     (asserted through MetricsSnapshot).
+//     (asserted through the tart_trace_events_* registry families).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -75,10 +75,17 @@ std::vector<PlannedInjection> plan_workload(const proptest::GeneratedApp& app,
   return plan;
 }
 
-/// Runs the seeded app with tracing to `path`; returns total metrics
-/// sampled while the runtime was still live.
-MetricsSnapshot run_traced(std::uint64_t seed, const std::string& path,
-                           RuntimeConfig config) {
+/// Reads a family out of the runtime's registry, harvested now.
+std::uint64_t harvested(Runtime& rt, const char* family) {
+  rt.harvest_telemetry();
+  return obs::family_total(rt.registry().samples(), family);
+}
+
+/// Runs the seeded app with tracing to `path`; returns the registry's
+/// samples, harvested while the runtime was still live.
+std::vector<obs::Sample> run_traced(std::uint64_t seed,
+                                    const std::string& path,
+                                    RuntimeConfig config) {
   proptest::GeneratedApp app = proptest::generate_app(seed);
   config.trace.enabled = true;
   config.trace.path = path;
@@ -87,23 +94,24 @@ MetricsSnapshot run_traced(std::uint64_t seed, const std::string& path,
   for (const auto& inj : plan_workload(app, seed))
     rt.inject_at(inj.wire, inj.vt, inj.payload);
   EXPECT_TRUE(rt.drain(60s)) << "seed " << seed;
-  const MetricsSnapshot m = rt.total_metrics();
+  rt.harvest_telemetry();
+  std::vector<obs::Sample> samples = rt.registry().samples();
   rt.stop();  // finalizes the recorder and writes the file
-  return m;
+  return samples;
 }
 
 TEST(TraceDeterminism, SameSeedYieldsByteIdenticalTraces) {
   for (const std::uint64_t seed : {3ull, 7ull, 11ull}) {
     const std::string pa = temp_trace_path("a" + std::to_string(seed));
     const std::string pb = temp_trace_path("b" + std::to_string(seed));
-    const MetricsSnapshot ma = run_traced(seed, pa, RuntimeConfig{});
-    const MetricsSnapshot mb = run_traced(seed, pb, RuntimeConfig{});
+    const auto ma = run_traced(seed, pa, RuntimeConfig{});
+    const auto mb = run_traced(seed, pb, RuntimeConfig{});
 
     // The recorder must have kept everything: a dropped event would
     // silently punch a hole in the determinism check.
-    EXPECT_GT(ma.trace_events_recorded, 0u);
-    EXPECT_EQ(ma.trace_events_dropped, 0u);
-    EXPECT_EQ(mb.trace_events_dropped, 0u);
+    EXPECT_GT(obs::family_total(ma, "tart_trace_events_recorded_total"), 0u);
+    EXPECT_EQ(obs::family_total(ma, "tart_trace_events_dropped_total"), 0u);
+    EXPECT_EQ(obs::family_total(mb, "tart_trace_events_dropped_total"), 0u);
 
     EXPECT_EQ(file_bytes(pa), file_bytes(pb))
         << "trace files differ for seed " << seed;
@@ -152,8 +160,7 @@ TEST(TraceDeterminism, CrashRecoveryReplaysToPrefixIdenticalTrace) {
       }
     }
     ASSERT_TRUE(rt.drain(60s)) << "seed " << seed;
-    const MetricsSnapshot m = rt.total_metrics();
-    EXPECT_EQ(m.trace_events_dropped, 0u);
+    EXPECT_EQ(harvested(rt, "tart_trace_events_dropped_total"), 0u);
     rt.stop();
 
     const auto reference = trace::TraceReader::read_file(ref_path);
@@ -204,9 +211,10 @@ TEST(TraceDeterminism, InjectedNondeterminismIsCaughtAndNamed) {
 }
 
 // The telemetry layer is a read-only observer: a run polled the way
-// GET /obs polls it (an aggressive 1ms reader rendering the JSONL series
-// line from total_metrics() and every registry sample) with every
-// registry histogram live must trace byte-identically to a bare run. If
+// GET /obs polls it (an aggressive 1ms reader running the scrape-time
+// harvest and rendering the JSONL series line from every registry sample)
+// with every registry histogram live must trace byte-identically to a bare
+// run. If
 // any instrumentation path ever feeds back into scheduling (a lock on the
 // dispatch path, a wall-clock read that shifts a virtual time), this is
 // the test that goes red.
@@ -227,9 +235,9 @@ TEST(TraceDeterminism, SamplerAndInstrumentationDoNotPerturbTraces) {
       std::size_t lines = 0;
       std::thread poller([&] {
         do {
+          rt.harvest_telemetry();
           const std::string line = obs::render_series_line(
-              static_cast<std::int64_t>(lines), rt.total_metrics(),
-              rt.registry().samples());
+              static_cast<std::int64_t>(lines), rt.registry().samples());
           if (!line.empty()) ++lines;
           std::this_thread::sleep_for(1ms);
         } while (!stop.load());
@@ -379,8 +387,7 @@ TEST(TraceDeterminism, DisabledTracingWritesNothing) {
   for (const auto& inj : plan_workload(app, 1))
     rt.inject_at(inj.wire, inj.vt, inj.payload);
   ASSERT_TRUE(rt.drain(60s));
-  const MetricsSnapshot m = rt.total_metrics();
-  EXPECT_EQ(m.trace_events_recorded, 0u);
+  EXPECT_EQ(harvested(rt, "tart_trace_events_recorded_total"), 0u);
   rt.stop();
 }
 
